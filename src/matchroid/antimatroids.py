@@ -121,26 +121,41 @@ class AxiomDiagnostic:
         return "all axioms hold"
 
 
+def _removable(mask: int, memberset: frozenset[int], cap: int) -> int:
+    """How many elements of mask can each be removed leaving a member,
+    counted up to cap."""
+    count = 0
+    bits = mask
+    while bits and count < cap:
+        low = bits & -bits
+        if mask ^ low in memberset:
+            count += 1
+        bits ^= low
+    return count
+
+
 def is_accessible(family: SetFamily) -> tuple[bool, frozenset[str] | None]:
     """Every nonempty member must lose some element and stay a member.
 
     Returns (True, None) or (False, violating member).
     """
-    masks = family._masks
     for mask in family._sorted_masks:
-        if mask == 0:
-            continue
-        bits = mask
-        ok = False
-        while bits:
-            low = bits & -bits
-            if mask ^ low in masks:
-                ok = True
-                break
-            bits ^= low
-        if not ok:
+        if mask and not _removable(mask, family._masks, 1):
             return False, family._to_set(mask)
     return True, None
+
+
+def _paths(family: SetFamily) -> list[int] | None:
+    """Members with exactly one removable element, or None if the family is
+    not accessible (some nonempty member has none)."""
+    paths = []
+    for mask in family._sorted_masks:
+        removable = _removable(mask, family._masks, 2)
+        if removable == 1:
+            paths.append(mask)
+        elif mask and not removable:
+            return None
+    return paths
 
 
 def is_union_closed(
@@ -148,10 +163,26 @@ def is_union_closed(
 ) -> tuple[bool, tuple[frozenset[str], frozenset[str]] | None]:
     """Pairwise unions must stay in the family.
 
-    Returns (True, None) or (False, (x, y)) for a witness pair.
+    Returns (True, None) or (False, (x, y)) for a witness pair: the first
+    pair (x before y in canonical member order) whose union is missing.
+
+    A family that contains the empty set and is accessible is union-closed
+    iff X | P is a member for every member X and every *path* P, a member
+    with exactly one removable element (Korte-Lovasz-Schrader, Greedoids).
+    Proof by induction on |Y| that every X | Y is a member: Y is empty, a
+    path, or has two removable elements a != b, and then
+    X | Y = (X | (Y - a)) | (Y - b) with both Y - a and Y - b smaller members.
+    That check costs members * paths lookups; only when it finds a gap, or
+    the family is not accessible, does the pairwise loop run to name the
+    canonical witness pair.
     """
     masks = family._sorted_masks
     memberset = family._masks
+    paths = _paths(family) if 0 in memberset else None
+    if paths is not None and all(
+        memberset.issuperset([x | p for x in masks]) for p in paths
+    ):
+        return True, None
     for i, x in enumerate(masks):
         for y in masks[i + 1 :]:
             if x | y not in memberset:

@@ -124,6 +124,8 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be non-negative, got {args.trials}")
     if args.kind == "stable":
         failures = fuzz_stable(args.trials, args.seed, sweep_limit=args.sweep_limit)
     else:

@@ -37,12 +37,24 @@ def _string_list(obj, field: str) -> list[str]:
     return obj
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_json(path: str | Path):
+    """Parse a JSON file; a key repeated within one object is a SchemaError."""
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            return json.load(f, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
+    except SchemaError as e:
+        raise SchemaError(f"{path}: {e}") from e
 
 
 def parse_graph(obj) -> BipartiteGraph:

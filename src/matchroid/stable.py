@@ -151,22 +151,50 @@ def is_blocking_pair(inst: StableMatchingInstance, m, e) -> bool:
 
 
 def is_stable(inst: StableMatchingInstance, m) -> bool:
-    """True iff no edge of the instance blocks m."""
-    mm = _as_matching(inst.graph, m)
-    return not any(is_blocking_pair(inst, mm, e) for e in inst.graph.edges)
+    """True iff no edge of the instance blocks m.
+
+    Validates m once, then applies the is_blocking_pair test to every edge.
+    """
+    partner = _as_matching(inst.graph, m).partner
+    ranking = inst.prefs.ranking
+    for u, v in inst.graph.edges:
+        pu = partner(u)
+        if pu == v:
+            continue
+        ru = ranking(u)
+        if pu is not None and ru.index(pu) < ru.index(v):
+            continue
+        pv = partner(v)
+        rv = ranking(v)
+        if pv is None or rv.index(u) < rv.index(pv):
+            return False
+    return True
 
 
-def _run_proposals(dense, active: list[int], rng: random.Random | None) -> list[int]:
+def _proposal_state(dense) -> tuple[list[int], list[int], list[int]]:
+    """The (ptr, match_u, match_e) state of a run over no left vertices."""
+    prefs_right, _, _, n_right = dense
+    return [0] * len(prefs_right), [-1] * n_right, [-1] * n_right
+
+
+def _run_proposals(dense, active: list[int], rng: random.Random | None, state) -> int:
     """Run the proposal loop for the given left vertices (dense indices).
 
-    Returns, per right dense index, the edge id of its final match or -1.
-    ptr[u] always points at u's best neighbor that has not rejected it; a
-    matched u sits exactly at its partner's position.
+    state is the (ptr, match_u, match_e) triple of an earlier, settled run
+    over other left vertices (_proposal_state() for none); the loop resumes
+    from it and updates it in place.  ptr[u] always points at u's best
+    neighbor that has not rejected it, and a matched u sits exactly at its
+    partner's position; match_u and match_e give, per right dense index, its
+    partner and their edge id, or -1.  Because the outcome does not depend
+    on proposal order, resuming with active = B after a run over A gives
+    the stable matching for A | B.
+
+    Returns the mask of right dense indices that this call newly matched: a
+    matched right vertex never becomes free again.
     """
-    prefs_right, prefs_edge, rank, n_right = dense
-    ptr = [0] * len(prefs_right)
-    match_u = [-1] * n_right
-    match_e = [-1] * n_right
+    prefs_right, prefs_edge, rank, _ = dense
+    ptr, match_u, match_e = state
+    newly = 0
     if rng is None:
         dq = deque(active)
         while dq:
@@ -182,6 +210,7 @@ def _run_proposals(dense, active: list[int], rng: random.Random | None) -> list[
                 if cur < 0:
                     match_u[v] = u
                     match_e[v] = prefs_edge[u][k]
+                    newly |= 1 << v
                     dq.popleft()
                     break
                 row = rank[v]
@@ -210,6 +239,7 @@ def _run_proposals(dense, active: list[int], rng: random.Random | None) -> list[
             if cur < 0:
                 match_u[v] = u
                 match_e[v] = prefs_edge[u][k]
+                newly |= 1 << v
                 pool[i] = pool[-1]
                 pool.pop()
             elif rank[v][u] < rank[v][cur]:
@@ -221,7 +251,7 @@ def _run_proposals(dense, active: list[int], rng: random.Random | None) -> list[
                 pool.append(cur)
             else:
                 ptr[u] += 1
-    return match_e
+    return newly
 
 
 def deferred_acceptance(
@@ -249,8 +279,10 @@ def deferred_acceptance(
         if set(explicit) != subset or len(explicit) != len(subset):
             raise ValueError("proposal_order must be a permutation of u_subset")
         active = [lpos[u] for u in explicit]
-    match_e = _run_proposals(inst._dense(), active, rng)
-    return Matching(inst.graph, [eid for eid in match_e if eid >= 0])
+    dense = inst._dense()
+    state = _proposal_state(dense)
+    _run_proposals(dense, active, rng, state)
+    return Matching(inst.graph, [eid for eid in state[2] if eid >= 0])
 
 
 def induced_map_sm(inst: StableMatchingInstance, u_subset: Iterable[str]) -> frozenset[str]:

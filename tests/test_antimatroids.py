@@ -47,6 +47,62 @@ def test_is_union_closed():
     assert not ok and set(witness) == {frozenset({"v1"}), frozenset({"v2"})}
 
 
+def pairwise_union_closed(family):
+    """The plain O(members^2) check, first missing pair in canonical order."""
+    members = family.members
+    for i, x in enumerate(members):
+        for y in members[i + 1 :]:
+            if x | y not in family:
+                return False, (x, y)
+    return True, None
+
+
+def random_accessible_family(rng, n):
+    """Grown from the empty set one element at a time, sometimes closed under
+    union and then grown a little more, so gaps are few and hard to see."""
+    masks = {0}
+
+    def grow(steps):
+        for _ in range(steps):
+            base = rng.choice(sorted(masks))
+            free = [i for i in range(n) if not base >> i & 1]
+            if free:
+                masks.add(base | 1 << rng.choice(free))
+
+    grow(rng.randint(1, 3 * n))
+    if rng.random() < 0.5:
+        while True:
+            extra = {x | y for x in masks for y in masks} - masks
+            if not extra:
+                break
+            masks |= extra
+        grow(rng.randint(0, 2))
+    ground = "abcdef"[:n]
+    return SetFamily(ground, [[ground[i] for i in range(n) if m >> i & 1] for m in masks])
+
+
+def test_is_union_closed_matches_pairwise_on_every_small_family():
+    for n in range(4):
+        ground = "abc"[:n]
+        subsets = [[ground[i] for i in range(n) if s >> i & 1] for s in range(1 << n)]
+        for code in range(1 << (1 << n)):
+            fam = SetFamily(ground, [subsets[s] for s in range(1 << n) if code >> s & 1])
+            assert is_union_closed(fam) == pairwise_union_closed(fam), fam
+
+
+def test_is_union_closed_matches_pairwise_on_random_accessible_families():
+    rng = random.Random(20260518)
+    closed = 0
+    for _ in range(5000):
+        fam = random_accessible_family(rng, rng.randint(3, 6))
+        assert is_accessible(fam)[0]
+        expected = pairwise_union_closed(fam)
+        assert is_union_closed(fam) == expected, fam
+        closed += expected[0]
+    # both verdicts must be well represented
+    assert 1000 < closed < 4000
+
+
 def test_is_antimatroid():
     assert is_antimatroid(INDUCED_3X3)[0]
     assert is_antimatroid(SetFamily(["x"], [[]]))[0]

@@ -172,3 +172,20 @@ def test_sweep_limit_exit_2(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     assert cli.main(["induce", str(path), "--kind", "stable", "--sweep-limit", "8"]) == 2
     capsys.readouterr()
+
+
+def test_duplicate_json_key_exits_2(capsys, tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text(
+        '{"left": ["u1"], "right": ["v1"], "edges": [["u1", "v1"]],'
+        ' "prefs": {"u1": ["v1"], "u1": ["v1"], "v1": ["u1"]}}'
+    )
+    assert cli.main(["induce", str(path), "--kind", "stable"]) == 2
+    assert "duplicate key 'u1'" in capsys.readouterr().err
+
+
+def test_negative_trials_exit_2(capsys):
+    assert cli.main(["fuzz", "--kind", "weighted", "--trials", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trials must be non-negative" in captured.err

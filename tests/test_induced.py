@@ -12,8 +12,8 @@ from matchroid.induced import (
     enumerate_codomain_mm,
     enumerate_codomain_sm,
 )
-from matchroid.stable import StableMatchingInstance, induced_map_sm
-from matchroid.weighted import WeightedInstance, induced_map_mm
+from matchroid.stable import StableMatchingInstance, deferred_acceptance, induced_map_sm
+from matchroid.weighted import WeightedInstance, induced_map_mm, max_weight_matching
 
 
 def members_as_sets(report):
@@ -135,6 +135,34 @@ def test_family_invariant_under_visit_order():
             subset = [g.left[i] for i in range(n) if mask >> i & 1]
             members.add(induced_map_sm(inst, subset))
         assert members == set(report.family.members)
+
+
+def per_subset_witnesses(inst, solve):
+    """Solve every left subset on its own, in ascending popcount, then
+    binary, order; the first subset producing a member is its witness."""
+    left = inst.graph.left
+    n = len(left)
+    witnesses = {}
+    for mask in sorted(range(1 << n), key=lambda m: (m.bit_count(), m)):
+        subset = tuple(left[i] for i in range(n) if mask >> i & 1)
+        witnesses.setdefault(solve(inst, subset).matched_right(), subset)
+    return witnesses
+
+
+def test_depth_first_sweep_matches_per_subset_sweep():
+    rng = random.Random(34)
+    for _ in range(200):
+        inst = random_stable_instance(rng, max_side=8, edge_prob=rng.uniform(0.2, 0.8))
+        report = enumerate_codomain_sm(inst)
+        expected = per_subset_witnesses(inst, deferred_acceptance)
+        assert set(report.family.members) == set(expected)
+        assert report.witnesses == expected
+    for _ in range(80):
+        inst = random_weighted_instance(rng, max_side=8, edge_prob=rng.uniform(0.2, 0.8))
+        report = enumerate_codomain_mm(inst)
+        expected = per_subset_witnesses(inst, max_weight_matching)
+        assert set(report.family.members) == set(expected)
+        assert report.witnesses == expected
 
 
 def test_sweep_limit():

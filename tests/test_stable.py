@@ -3,7 +3,7 @@ import random
 import pytest
 
 from matchroid.fuzz import random_stable_instance
-from matchroid.graphs import BipartiteGraph, Matching, UnknownVertexError
+from matchroid.graphs import BipartiteGraph, Matching, UnknownVertexError, enumerate_matchings
 from matchroid.stable import (
     StableMatchingInstance,
     choice_function_sm,
@@ -66,6 +66,15 @@ def test_is_stable(prefs_3x3):
     assert not is_stable(prefs_3x3, Matching(g, []))
     edgeless = StableMatchingInstance(BipartiteGraph(["u"], ["v"], []), {})
     assert is_stable(edgeless, Matching(edgeless.graph, []))
+
+
+def test_is_stable_agrees_with_blocking_pairs():
+    rng = random.Random(41)
+    for _ in range(30):
+        inst = random_stable_instance(rng, max_side=4)
+        for m in enumerate_matchings(inst.graph):
+            expected = not any(is_blocking_pair(inst, m, e) for e in inst.graph.edges)
+            assert is_stable(inst, m) == expected
 
 
 def test_deferred_acceptance_full(prefs_3x3):
