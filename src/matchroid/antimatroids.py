@@ -26,28 +26,47 @@ class SetFamily:
 
     The ground order is preserved from input and fixes the deterministic
     member order used everywhere: ascending cardinality, then lexicographic
-    on the sorted ground positions.
+    on the sorted ground positions.  On bitmasks (bit i for ground[i]) that
+    order is: fewer bits first, and among masks with as many bits, the one
+    holding the lowest bit where the two differ first.  _canonical_order
+    sorts by that key, popcount << n minus the n-bit reversal of the mask.
+
+    SetFamily(ground, members) takes members as iterables of element ids and
+    checks each element against the ground set.  SetFamily.from_masks(ground,
+    masks) takes bitmasks that the caller already knows lie in
+    range(2 ** len(ground)) and skips that check.
     """
 
     def __init__(self, ground: Iterable[str], members: Iterable[Iterable[str]]):
-        self.ground = tuple(ground)
-        if len(set(self.ground)) != len(self.ground):
-            raise ValueError("duplicate ground element")
-        self._pos = {e: i for i, e in enumerate(self.ground)}
+        self._set_ground(ground)
+        pos = self._pos
         masks = set()
         for member in members:
             mask = 0
             for e in member:
-                if e not in self._pos:
+                if e not in pos:
                     raise ValueError(f"member element {e!r} not in ground set")
-                mask |= 1 << self._pos[e]
+                mask |= 1 << pos[e]
             masks.add(mask)
-        self._masks = frozenset(masks)
-        self._sorted_masks = sorted(masks, key=self._member_key)
+        self._set_masks(masks)
 
-    def _member_key(self, mask: int) -> tuple[int, tuple[int, ...]]:
-        bits = tuple(i for i in range(len(self.ground)) if mask >> i & 1)
-        return (len(bits), bits)
+    @classmethod
+    def from_masks(cls, ground: Iterable[str], masks: Iterable[int]) -> "SetFamily":
+        """The family of the given member bitmasks, each < 2 ** len(ground)."""
+        family = cls.__new__(cls)
+        family._set_ground(ground)
+        family._set_masks(masks)
+        return family
+
+    def _set_ground(self, ground: Iterable[str]) -> None:
+        self.ground = tuple(ground)
+        if len(set(self.ground)) != len(self.ground):
+            raise ValueError("duplicate ground element")
+        self._pos = {e: i for i, e in enumerate(self.ground)}
+
+    def _set_masks(self, masks: Iterable[int]) -> None:
+        self._masks = frozenset(masks)
+        self._sorted_masks = _canonical_order(self._masks, len(self.ground))
 
     def _to_set(self, mask: int) -> frozenset[str]:
         return frozenset(self.ground[i] for i in range(len(self.ground)) if mask >> i & 1)
@@ -94,6 +113,12 @@ class SetFamily:
     def sorted_member(self, member: Iterable[str]) -> list[str]:
         """A member's elements listed in ground order."""
         return sorted(member, key=self._pos.get)
+
+
+def _canonical_order(masks: Iterable[int], n: int) -> list[int]:
+    """Masks over n bits sorted by (popcount, positions of the set bits)."""
+    fmt = f"0{n}b"
+    return sorted(masks, key=lambda m: (m.bit_count() << n) - int(format(m, fmt)[::-1], 2))
 
 
 @dataclass(frozen=True)
@@ -202,9 +227,7 @@ def is_antimatroid(family: SetFamily) -> tuple[bool, AxiomDiagnostic]:
 def complement_family(family: SetFamily) -> SetFamily:
     """The complement of every member, over the same ground set."""
     full = (1 << len(family.ground)) - 1
-    return SetFamily(
-        family.ground, [family._to_set(full ^ m) for m in family._sorted_masks]
-    )
+    return SetFamily.from_masks(family.ground, [full ^ m for m in family._masks])
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ byte-identical across runs with the same inputs and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -35,7 +34,7 @@ from .weighted import max_weight_matching, oracle_max_weight
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = io.dumps(doc) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -124,8 +123,6 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    if args.trials < 0:
-        raise ValueError(f"--trials must be non-negative, got {args.trials}")
     if args.kind == "stable":
         failures = fuzz_stable(args.trials, args.seed, sweep_limit=args.sweep_limit)
     else:
@@ -146,7 +143,7 @@ def cmd_fuzz(args) -> int:
                 doc = io.weighted_instance_to_json(fail.instance)
             doc["_fuzz_reason"] = fail.reason
             path = outdir / f"fuzz-{fail.kind}-{args.seed}-{fail.trial:04d}.json"
-            path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            path.write_text(io.dumps(doc) + "\n")
             files.append(str(path))
             print(f"counterexample written: {path}", file=sys.stderr)
     _emit(
@@ -282,9 +279,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args) -> None:
+    """Reject a negative count or limit; a ValueError exits 2."""
+    for flag in ("trials", "oracle_limit", "sweep_limit"):
+        value = getattr(args, flag, 0)
+        if value < 0:
+            name = "--" + flag.replace("_", "-")
+            raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except (io.SchemaError, OracleLimitError, SweepLimitError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -12,7 +12,9 @@ child costs one proposal chain instead of a full run.  A weighted child is
 solved anew on its allowed left mask.  The visit order is not the
 witness order, so the sweep keeps, per member, the smallest
 (popcount, mask) key seen: witnesses are still the first subset in
-ascending popcount, then binary, order.
+ascending popcount, then binary, order.  The resulting member mask ->
+witness mask table becomes the family (SetFamily.from_masks) and the
+report's witness table as it is; names are attached only on output.
 """
 
 from __future__ import annotations
@@ -29,7 +31,13 @@ class SweepLimitError(ValueError):
 
 
 class InducedFamilyReport:
-    """The induced family over V, with one witness subset per member."""
+    """The induced family over V, with one witness subset per member.
+
+    Inside, witnesses are kept as bitmasks: member mask (over the family's
+    ground) -> witness mask (over instance.graph.left).  The public
+    witnesses dict, member frozenset -> witness tuple in left order, is
+    built on first read; io.report_to_json reads the masks.
+    """
 
     def __init__(
         self,
@@ -38,10 +46,40 @@ class InducedFamilyReport:
         instance_kind: str,
         instance,
     ):
+        left_pos = instance.graph._left_pos
+        witness_masks = {
+            family._to_mask(member): sum(1 << left_pos[u] for u in set(subset))
+            for member, subset in witnesses.items()
+        }
+        self._init(family, witness_masks, instance_kind, instance)
+
+    @classmethod
+    def _from_masks(cls, family, witness_masks: dict[int, int], instance_kind, instance):
+        report = cls.__new__(cls)
+        report._init(family, witness_masks, instance_kind, instance)
+        return report
+
+    def _init(self, family, witness_masks, instance_kind, instance) -> None:
         self.family = family
-        self.witnesses = witnesses
+        self._witness_masks = witness_masks
         self.instance_kind = instance_kind
         self.instance = instance
+        self._witnesses = None
+
+    @property
+    def witnesses(self) -> dict[frozenset[str], tuple[str, ...]]:
+        """Each member's witness: the first left subset producing it, in
+        ascending popcount, then binary, order."""
+        if self._witnesses is None:
+            to_set = self.family._to_set
+            left = self.instance.graph.left
+            self._witnesses = {
+                to_set(v_mask): tuple(left[i] for i in range(len(left)) if u_mask >> i & 1)
+                for v_mask, u_mask in sorted(
+                    self._witness_masks.items(), key=lambda kv: (kv[1].bit_count(), kv[1])
+                )
+            }
+        return self._witnesses
 
     def __repr__(self):
         return (
@@ -59,7 +97,8 @@ def _sweep(graph, root, extend, instance_kind, instance, sweep_limit) -> Induced
     parent's state and matched right mask and the added dense left index i;
     root is the state of the empty subset, which matches nothing.  Each
     member keeps its smallest witness key popcount << n | u_mask: the first
-    subset in ascending popcount, then binary, order.
+    subset in ascending popcount, then binary, order.  The member and
+    witness masks go to the report as they are.
     """
     n = len(graph.left)
     if n > sweep_limit:
@@ -79,14 +118,11 @@ def _sweep(graph, root, extend, instance_kind, instance, sweep_limit) -> Induced
                 best[c_v_mask] = key
             if i + 1 < n:
                 stack.append((child, c_v_mask, c_mask, size_key))
-    right, left = graph.right, graph.left
-    witnesses = {}
-    for v_mask, key in sorted(best.items(), key=lambda item: item[1]):
-        member = frozenset(right[i] for i in range(len(right)) if v_mask >> i & 1)
-        u_mask = key & (step - 1)
-        witnesses[member] = tuple(left[i] for i in range(n) if u_mask >> i & 1)
-    family = SetFamily(right, witnesses)
-    return InducedFamilyReport(family, witnesses, instance_kind, instance)
+    low = step - 1
+    for v_mask in best:
+        best[v_mask] &= low
+    family = SetFamily.from_masks(graph.right, best)
+    return InducedFamilyReport._from_masks(family, best, instance_kind, instance)
 
 
 def enumerate_codomain_sm(
@@ -100,8 +136,8 @@ def enumerate_codomain_sm(
     dense = inst._dense()
 
     def extend(state, v_mask: int, i: int):
-        ptr, match_u, match_e = state
-        child = (ptr[:], match_u[:], match_e[:])
+        ptr, match_u = state
+        child = (ptr[:], match_u[:])
         return child, v_mask | _run_proposals(dense, [i], None, child)
 
     return _sweep(inst.graph, _proposal_state(dense), extend, "stable", inst, sweep_limit)

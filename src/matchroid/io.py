@@ -4,13 +4,15 @@ reports.
 Graph documents look like {"left": [...], "right": [...], "edges": [[u, v],
 ...]}; the edge array order defines the fixed edge ids.  Stable instances
 add "prefs" (vertex id -> neighbors, best first); weighted instances add
-"weights" (one integer or exact decimal string per edge, same order).  Set
-families look like {"ground": [...], "sets": [[...], ...]}.
+"weights" (one integer, or one exact "1.25" or "1/3" string, per edge, same
+order).  Set families look like {"ground": [...], "sets": [[...], ...]}.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from pathlib import Path
 
@@ -95,16 +97,22 @@ def parse_stable_instance(obj) -> StableMatchingInstance:
         raise SchemaError(str(e)) from e
 
 
+_WEIGHT = re.compile(r"-?[0-9]+(\.[0-9]+)?|-?[0-9]+/[0-9]+")
+
+
 def parse_weight(x, field: str) -> ExactWeight:
+    """An integer, or a string "-?D(.D)?" or "-?D/D" (D: ASCII digits), exact."""
     if isinstance(x, bool):
         raise SchemaError(f"field {field!r}: expected an integer or string weight")
     if isinstance(x, int):
         return x
     if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as e:
-            raise SchemaError(f"field {field!r}: cannot parse weight {x!r}") from e
+        if _WEIGHT.fullmatch(x):
+            try:
+                return Fraction(x)
+            except ZeroDivisionError:
+                pass
+        raise SchemaError(f"field {field!r}: cannot parse weight {x!r}")
     raise SchemaError(
         f"field {field!r}: weights must be integers or decimal strings, got "
         f"{type(x).__name__}"
@@ -203,11 +211,29 @@ def weighted_instance_to_json(inst: WeightedInstance) -> dict:
     return doc
 
 
+def _decoder(names: Sequence[str]) -> Callable[[int], list[str]]:
+    """mask -> the names of its set bits (bit i for names[i]), in order.
+
+    Looks the names up a byte of the mask at a time.
+    """
+    tables = []
+    for lo in range(0, len(names), 8):
+        part = names[lo : lo + 8]
+        tables.append(
+            (lo, [tuple(e for i, e in enumerate(part) if b >> i & 1) for b in range(1 << len(part))])
+        )
+
+    def decode(mask: int) -> list[str]:
+        out = []
+        for lo, table in tables:
+            out += table[mask >> lo & 255]
+        return out
+
+    return decode
+
+
 def family_to_json(f: SetFamily) -> dict:
-    return {
-        "ground": list(f.ground),
-        "sets": [f.sorted_member(m) for m in f.members],
-    }
+    return {"ground": list(f.ground), "sets": list(map(_decoder(f.ground), f._sorted_masks))}
 
 
 def member_key(f: SetFamily, member: frozenset[str]) -> str:
@@ -234,11 +260,66 @@ def diagnostic_to_json(diag: AxiomDiagnostic) -> dict:
 
 
 def report_to_json(report: InducedFamilyReport) -> dict:
+    """The family and, keyed by comma-joined member, each member's witness."""
     f = report.family
-    return {
-        "family": family_to_json(f),
-        "witnesses": {
-            member_key(f, member): list(report.witnesses[member])
-            for member in f.members
-        },
-    }
+    member_names = _decoder(f.ground)
+    witness_names = _decoder(report.instance.graph.left)
+    witness_masks = report._witness_masks
+    sets = []
+    witnesses = {}
+    for mask in f._sorted_masks:
+        names = member_names(mask)
+        sets.append(names)
+        witnesses[",".join(names)] = witness_names(witness_masks[mask])
+    return {"family": {"ground": list(f.ground), "sets": sets}, "witnesses": witnesses}
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def dumps(doc) -> str:
+    """Exactly json.dumps(doc, indent=2, sort_keys=True), written faster.
+
+    With an indent, json.dumps runs CPython's pure-Python encoder.  Here
+    strings go through its C-level ASCII string encoder, and a list of
+    strings is joined in one call (the encoder raises TypeError on any
+    other item).  Anything else (numbers, booleans, None, dicts with
+    non-string keys) is handed to json.dumps.
+    """
+    out: list[str] = []
+    _dump(doc, "\n", out)
+    return "".join(out)
+
+
+def _dump(obj, newline: str, out: list[str]) -> None:
+    if isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        try:  # a list of strings, in one join
+            out.append("[" + inner + ("," + inner).join(map(_encode_str, obj)) + newline + "]")
+            return
+        except TypeError:
+            pass
+        sep = "[" + inner
+        for x in obj:
+            out.append(sep)
+            _dump(x, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + _encode_str(key) + ": ")
+            _dump(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline))

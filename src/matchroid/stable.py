@@ -4,13 +4,22 @@ induced map from left-vertex subsets to matched right-vertex sets.
 The proposal algorithm repeatedly lets an unmatched left vertex propose to
 its best remaining neighbor; the neighbor keeps the proposer it prefers and
 rejects the other.  Its output is independent of the order in which
-proposers are picked, which the test suite exercises with seeded orders.
+proposers are picked (McVitie-Wilson 1971; Dubins-Freedman 1981), which
+the test suite exercises with seeded orders.
+
+One loop, _run_proposals, serves every caller; the pick rule is its only
+parameter.  Without a seed it takes the last proposer in its pool, so the
+proposers run in the given order and a displaced proposer goes next; with
+a seed it picks at random.  Its state is two lists, ptr (per left vertex,
+the position of its best neighbor not yet rejecting it) and match_u (per
+right vertex, its partner).  The matched edges are not stored: a matched
+left vertex u sits at position ptr[u] of its list, so deferred_acceptance
+reads them off at the end, and a subset sweep copies two lists per child.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 
 from .graphs import (
@@ -171,86 +180,62 @@ def is_stable(inst: StableMatchingInstance, m) -> bool:
     return True
 
 
-def _proposal_state(dense) -> tuple[list[int], list[int], list[int]]:
-    """The (ptr, match_u, match_e) state of a run over no left vertices."""
+def _proposal_state(dense) -> tuple[list[int], list[int]]:
+    """The (ptr, match_u) state of a run over no left vertices."""
     prefs_right, _, _, n_right = dense
-    return [0] * len(prefs_right), [-1] * n_right, [-1] * n_right
+    return [0] * len(prefs_right), [-1] * n_right
 
 
 def _run_proposals(dense, active: list[int], rng: random.Random | None, state) -> int:
     """Run the proposal loop for the given left vertices (dense indices).
 
-    state is the (ptr, match_u, match_e) triple of an earlier, settled run
-    over other left vertices (_proposal_state() for none); the loop resumes
-    from it and updates it in place.  ptr[u] always points at u's best
-    neighbor that has not rejected it, and a matched u sits exactly at its
-    partner's position; match_u and match_e give, per right dense index, its
-    partner and their edge id, or -1.  Because the outcome does not depend
-    on proposal order, resuming with active = B after a run over A gives
-    the stable matching for A | B.
+    state is the (ptr, match_u) pair of an earlier, settled run over other
+    left vertices (_proposal_state() for none); the loop resumes from it and
+    updates it in place.  ptr[u] always points at u's best neighbor that has
+    not rejected it, and match_u gives, per right dense index, its partner
+    or -1.  A matched u therefore sits at prefs_edge[u][ptr[u]], which is
+    how the matched edges are read off.  Because the outcome does not
+    depend on proposal order, resuming with active = B after a run over A
+    gives the stable matching for A | B.
+
+    The pool of pending proposers starts as active; the picked proposer
+    proposes down its list until some neighbor holds it or the list runs
+    out.  The pick rule is the only thing rng changes: without one the last
+    proposer in the pool goes, so active runs in order and a displaced
+    proposer goes next; with one, rng.randrange picks.
 
     Returns the mask of right dense indices that this call newly matched: a
     matched right vertex never becomes free again.
     """
-    prefs_right, prefs_edge, rank, _ = dense
-    ptr, match_u, match_e = state
+    prefs_right, _, rank, _ = dense
+    ptr, match_u = state
+    pool = active[::-1]
     newly = 0
-    if rng is None:
-        dq = deque(active)
-        while dq:
-            u = dq[0]
-            pr = prefs_right[u]
-            while True:
-                k = ptr[u]
-                if k == len(pr):
-                    dq.popleft()
-                    break
-                v = pr[k]
-                cur = match_u[v]
-                if cur < 0:
-                    match_u[v] = u
-                    match_e[v] = prefs_edge[u][k]
-                    newly |= 1 << v
-                    dq.popleft()
-                    break
-                row = rank[v]
-                if row[u] < row[cur]:
-                    match_u[v] = u
-                    match_e[v] = prefs_edge[u][k]
-                    ptr[cur] += 1
-                    dq.popleft()
-                    dq.append(cur)
-                    break
-                ptr[u] += 1
-    else:
-        # one proposal per arbitrary pick, to exercise order independence
-        pool = list(active)
-        while pool:
-            i = rng.randrange(len(pool))
-            u = pool[i]
-            k = ptr[u]
-            pr = prefs_right[u]
-            if k == len(pr):
-                pool[i] = pool[-1]
-                pool.pop()
-                continue
+    while pool:
+        i = -1 if rng is None else rng.randrange(len(pool))
+        u = pool[i]
+        pr = prefs_right[u]
+        k = ptr[u]
+        end = len(pr)
+        while k < end:
             v = pr[k]
             cur = match_u[v]
-            if cur < 0:
-                match_u[v] = u
-                match_e[v] = prefs_edge[u][k]
-                newly |= 1 << v
-                pool[i] = pool[-1]
-                pool.pop()
-            elif rank[v][u] < rank[v][cur]:
-                match_u[v] = u
-                match_e[v] = prefs_edge[u][k]
-                ptr[cur] += 1
-                pool[i] = pool[-1]
-                pool.pop()
-                pool.append(cur)
-            else:
-                ptr[u] += 1
+            if cur < 0 or rank[v][u] < rank[v][cur]:
+                break
+            k += 1
+        ptr[u] = k
+        if k == end:
+            pool[i] = pool[-1]
+            pool.pop()
+            continue
+        match_u[v] = u
+        if cur < 0:
+            newly |= 1 << v
+            pool[i] = pool[-1]
+            pool.pop()
+        else:
+            ptr[cur] += 1
+            pool[i] = cur
     return newly
 
 
@@ -261,10 +246,10 @@ def deferred_acceptance(
 ) -> Matching:
     """The stable matching of the instance restricted to u_subset and all of V.
 
-    proposal_order picks the queue discipline: None for first-in-first-out
-    in input left order, an int for a seeded arbitrary pick each round, or
-    an explicit sequence (a permutation of u_subset) for the initial queue.
-    The returned edge set is the same in every case.
+    proposal_order picks the order of proposers: None for input left order,
+    an int for a seeded arbitrary pick each round, or an explicit sequence
+    (a permutation of u_subset).  The returned edge set is the same in
+    every case.
     """
     subset = _check_left_subset(inst.graph, u_subset)
     lpos = inst.graph._left_pos
@@ -280,9 +265,10 @@ def deferred_acceptance(
             raise ValueError("proposal_order must be a permutation of u_subset")
         active = [lpos[u] for u in explicit]
     dense = inst._dense()
-    state = _proposal_state(dense)
+    ptr, match_u = state = _proposal_state(dense)
     _run_proposals(dense, active, rng, state)
-    return Matching(inst.graph, [eid for eid in state[2] if eid >= 0])
+    prefs_edge = dense[1]
+    return Matching(inst.graph, [prefs_edge[u][ptr[u]] for u in match_u if u >= 0])
 
 
 def induced_map_sm(inst: StableMatchingInstance, u_subset: Iterable[str]) -> frozenset[str]:

@@ -250,3 +250,19 @@ def test_validate_decoration_rejects_wrong_family():
     deco = build_decoration(fam1)
     with pytest.raises(ValueError):
         validate_decoration(fam2, deco)
+
+
+def test_canonical_order_is_cardinality_then_positions():
+    def positions_key(mask, n):
+        bits = tuple(i for i in range(n) if mask >> i & 1)
+        return (len(bits), bits)
+
+    for n in range(11):
+        ground = [f"e{i}" for i in range(n)]
+        masks = range(1 << n)
+        want = sorted(masks, key=lambda m: positions_key(m, n))
+        assert SetFamily.from_masks(ground, masks)._sorted_masks == want
+        if n <= 6:
+            members = [[ground[i] for i in range(n) if m >> i & 1] for m in masks]
+            assert SetFamily(ground, members)._sorted_masks == want
+

@@ -189,3 +189,30 @@ def test_negative_trials_exit_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--trials must be non-negative" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["oracle-check", DATA / "weights_3x2.json", "--kind", "weighted", "--oracle-limit", "-3"],
+         "--oracle-limit"),
+        (["induce", DATA / "prefs_3x3.json", "--kind", "stable", "--sweep-limit", "-1"],
+         "--sweep-limit"),
+        (["fuzz", "--kind", "stable", "--trials", "4", "--oracle-limit", "-1"], "--oracle-limit"),
+    ],
+)
+def test_negative_limits_exit_2(capsys, argv, flag):
+    assert cli.main([str(a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} must be non-negative" in captured.err
+
+
+@pytest.mark.parametrize("weight", [" 2_000 ", "1e5", "1e5000000"])
+def test_non_schema_weight_string_exits_2(capsys, tmp_path, weight):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(
+        {"left": ["u"], "right": ["v"], "edges": [["u", "v"]], "weights": [weight]}
+    ))
+    assert cli.main(["induce", str(path), "--kind", "weighted"]) == 2
+    assert "cannot parse weight" in capsys.readouterr().err

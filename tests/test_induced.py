@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from matchroid import io
 from matchroid.antimatroids import SetFamily
 from matchroid.fuzz import random_stable_instance, random_weighted_instance
 from matchroid.graphs import BipartiteGraph
@@ -173,3 +174,35 @@ def test_sweep_limit():
     winst = WeightedInstance(BipartiteGraph(left, ["v"], []), [])
     with pytest.raises(SweepLimitError):
         enumerate_codomain_mm(winst)
+
+
+def frozenset_report_json(report):
+    """The report document built from the public frozenset forms only."""
+    f = report.family
+    return {
+        "family": {"ground": list(f.ground), "sets": [f.sorted_member(m) for m in f.members]},
+        "witnesses": {
+            ",".join(f.sorted_member(m)): list(report.witnesses[m]) for m in f.members
+        },
+    }
+
+
+def test_mask_built_report_matches_frozenset_forms():
+    rng = random.Random(35)
+    for k in range(120):
+        if k % 2:
+            inst = random_weighted_instance(rng, max_side=7, edge_prob=rng.uniform(0.2, 0.8))
+            report, solve = enumerate_codomain_mm(inst), max_weight_matching
+        else:
+            inst = random_stable_instance(rng, max_side=7, edge_prob=rng.uniform(0.2, 0.8))
+            report, solve = enumerate_codomain_sm(inst), deferred_acceptance
+        doc = io.report_to_json(report)
+        assert report._witnesses is None  # serialising does not build the dict
+        expected = per_subset_witnesses(inst, solve)
+        assert report.witnesses == expected
+        rebuilt = SetFamily(inst.graph.right, list(expected))
+        assert report.family == rebuilt
+        assert report.family._sorted_masks == rebuilt._sorted_masks
+        assert doc == frozenset_report_json(report)
+        by_hand = InducedFamilyReport(rebuilt, expected, report.instance_kind, inst)
+        assert io.report_to_json(by_hand) == doc

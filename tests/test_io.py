@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -105,3 +106,44 @@ def test_report_json(prefs_3x3):
     assert doc["witnesses"][""] == []
     assert doc["witnesses"]["v1,v2,v3"] == ["u1", "u2", "u3"]
     json.dumps(doc)  # serializable
+
+
+def random_json_value(rng, depth):
+    """A random document mixing every JSON type, tuples and int-keyed dicts."""
+
+    def text():
+        alphabet = "ab,\"\\/ \n\t\x00\x1f\x7fé€😀"
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
+
+    leaves = (
+        text,
+        lambda: rng.randint(-(10**20), 10**20),
+        lambda: rng.choice([True, False, None]),
+        lambda: rng.choice([0.0, -1.5, 1e300, 3.141592653589793, float("inf"), float("nan")]),
+    )
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(leaves)()
+    if roll < 0.45:
+        return [text() for _ in range(rng.randint(0, 4))]
+    if roll < 0.7:
+        items = [random_json_value(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+        return tuple(items) if rng.random() < 0.2 else items
+    if roll < 0.9:
+        return {text(): random_json_value(rng, depth - 1) for _ in range(rng.randint(0, 4))}
+    return {rng.randint(-5, 5): random_json_value(rng, depth - 1) for _ in range(rng.randint(0, 3))}
+
+
+def test_dumps_equals_json_dumps_indented():
+    rng = random.Random(7)
+    for _ in range(3000):
+        doc = random_json_value(rng, rng.randint(0, 5))
+        assert io.dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_weight_strings_are_strict():
+    for text in (" 2_000 ", "2_000", "1e5", "1e5000000", "+1", "1.", ".5", "1/-3", "1/0", "٣", "", "1 / 3"):
+        with pytest.raises(io.SchemaError, match="cannot parse weight"):
+            io.parse_weight(text, "w")
+    assert io.parse_weight("-12/8", "w") == Fraction(-3, 2)
+    assert io.parse_weight("007", "w") == 7
