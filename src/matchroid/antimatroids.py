@@ -170,17 +170,24 @@ def is_accessible(family: SetFamily) -> tuple[bool, frozenset[str] | None]:
     return True, None
 
 
-def _paths(family: SetFamily) -> list[int] | None:
+def _paths(masks: Sequence[int], memberset: frozenset[int]) -> list[int] | None:
     """Members with exactly one removable element, or None if the family is
     not accessible (some nonempty member has none)."""
     paths = []
-    for mask in family._sorted_masks:
-        removable = _removable(mask, family._masks, 2)
+    for mask in masks:
+        removable = _removable(mask, memberset, 2)
         if removable == 1:
             paths.append(mask)
         elif mask and not removable:
             return None
     return paths
+
+
+def _closed_antimatroid(masks: Sequence[int], memberset: frozenset[int]) -> bool:
+    """True iff the family holds the empty set, is accessible and is
+    union-closed, by the path test that is_union_closed proves."""
+    paths = _paths(masks, memberset) if 0 in memberset else None
+    return paths is not None and all(memberset.issuperset([x | p for x in masks]) for p in paths)
 
 
 def is_union_closed(
@@ -202,15 +209,11 @@ def is_union_closed(
     canonical witness pair.
     """
     masks = family._sorted_masks
-    memberset = family._masks
-    paths = _paths(family) if 0 in memberset else None
-    if paths is not None and all(
-        memberset.issuperset([x | p for x in masks]) for p in paths
-    ):
+    if _closed_antimatroid(masks, family._masks):
         return True, None
     for i, x in enumerate(masks):
         for y in masks[i + 1 :]:
-            if x | y not in memberset:
+            if x | y not in family._masks:
                 return False, (family._to_set(x), family._to_set(y))
     return True, None
 
@@ -381,30 +384,13 @@ def enumerate_antimatroids(ground: Sequence[str]) -> list[SetFamily]:
         raise ValueError("exhaustive enumeration supported only for ground size <= 4")
     num_sets = 1 << n
     out: list[SetFamily] = []
-    # bit s of fam_code says whether subset-mask s is a member; force bit 0 (the empty set)
+    # bit s of fam_code says whether subset-mask s is a member; force bit 0 (the
+    # empty set).  The member lists of its low and high halves are tabled.
+    h = num_sets // 2
+    low = [[s for s in range(h) if c >> s & 1] for c in range(1 << h)]
+    high = [[h + s for s in range(num_sets - h) if c >> s & 1] for c in range(1 << num_sets - h)]
     for fam_code in range(1, 1 << num_sets, 2):
-        members = [s for s in range(num_sets) if fam_code >> s & 1]
-        memberset = set(members)
-        ok = True
-        for i, x in enumerate(members):
-            if not ok:
-                break
-            for y in members[i + 1 :]:
-                if x | y not in memberset:
-                    ok = False
-                    break
-        if ok:
-            for x in members:
-                if x == 0:
-                    continue
-                if not any(x ^ (1 << i) in memberset for i in range(n) if x >> i & 1):
-                    ok = False
-                    break
-        if ok:
-            out.append(
-                SetFamily(
-                    ground,
-                    [[ground[i] for i in range(n) if s >> i & 1] for s in members],
-                )
-            )
+        members = low[fam_code & (1 << h) - 1] + high[fam_code >> h]
+        if _closed_antimatroid(members, frozenset(members)):
+            out.append(SetFamily.from_masks(ground, members))
     return out

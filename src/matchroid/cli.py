@@ -30,7 +30,7 @@ from .stable import (
     is_stable,
     restrict_instance,
 )
-from .weighted import max_weight_matching, oracle_max_weight
+from .weighted import against_oracle
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -168,28 +168,18 @@ def cmd_oracle_check(args) -> int:
         raise SweepLimitError(
             f"sweep limit exceeded: 2**{n} subsets > 2**{args.sweep_limit}"
         )
-    checked = skipped = mismatches = 0
+    checked = skipped = 0
     detail = []
-    for u_mask in range(1 << n):
-        subset = {g.left[i] for i in range(n) if u_mask >> i & 1}
-        if args.kind == "weighted":
-            n_edges = sum(1 for u, _ in g.edges if u in subset)
-            if n_edges > args.oracle_limit:
-                skipped += 1
-                continue
-            solver = max_weight_matching(inst, subset)
-            oracle = oracle_max_weight(inst, subset, args.oracle_limit)
+    if args.kind == "weighted":
+        for subset, solver, oracle in against_oracle(inst, args.oracle_limit):
             checked += 1
             if solver != oracle:
-                mismatches += 1
-                detail.append(
-                    {
-                        "subset": sorted(subset),
-                        "solver": sorted(solver.pairs()),
-                        "oracle": sorted(oracle.pairs()),
-                    }
-                )
-        else:
+                detail.append({"subset": sorted(subset), "solver": sorted(solver.pairs()),
+                               "oracle": sorted(oracle.pairs())})
+        skipped = (1 << n) - checked
+    else:
+        for u_mask in range(1 << n):
+            subset = {g.left[i] for i in range(n) if u_mask >> i & 1}
             sub = restrict_instance(inst, subset | set(g.right))
             m = deferred_acceptance(inst, subset)
             ok = is_stable(sub, m)
@@ -200,7 +190,6 @@ def cmd_oracle_check(args) -> int:
                 ok = m in all_stable and len(lefts) <= 1 and len(rights) <= 1
             checked += 1
             if not ok:
-                mismatches += 1
                 detail.append({"subset": sorted(subset), "matching": sorted(m.pairs())})
     _emit(
         {
@@ -208,12 +197,12 @@ def cmd_oracle_check(args) -> int:
             "kind": args.kind,
             "subsets_checked": checked,
             "subsets_skipped": skipped,
-            "mismatches": mismatches,
+            "mismatches": len(detail),
             "detail": detail,
         },
         args.out,
     )
-    return 0 if mismatches == 0 else 1
+    return 1 if detail else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

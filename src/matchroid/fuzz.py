@@ -15,7 +15,7 @@ from .induced import (
     enumerate_codomain_sm,
 )
 from .stable import StableMatchingInstance
-from .weighted import WeightedInstance, max_weight_matching, oracle_max_weight
+from .weighted import WeightedInstance, against_oracle
 
 
 def random_bipartite_graph(
@@ -105,15 +105,7 @@ def fuzz_weighted(
             failures.append(FuzzFailure(t, "weighted", diag.reason(), inst))
             continue
         if check_oracle:
-            g = inst.graph
-            n = len(g.left)
-            for u_mask in range(1 << n):
-                subset = {g.left[i] for i in range(n) if u_mask >> i & 1}
-                n_edges = sum(1 for u, _ in g.edges if u in subset)
-                if n_edges > oracle_limit:
-                    continue
-                solver = max_weight_matching(inst, subset)
-                oracle = oracle_max_weight(inst, subset, oracle_limit)
+            for subset, solver, oracle in against_oracle(inst, oracle_limit):
                 if solver != oracle:
                     failures.append(
                         FuzzFailure(

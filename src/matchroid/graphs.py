@@ -4,11 +4,17 @@ Vertex ids are opaque strings taken from input data.  Every edge carries a
 fixed integer id (its position in the input edge list); restricting a graph
 keeps the surviving edges' original ids, so edge-order tie-breaking is
 stable under restriction.
+
+The exhaustive oracles share one enumeration core, _matchings.  It yields
+the matchings over a given set of edge positions as tuples of positions:
+the empty matching first, then depth first by the edge added, in ascending
+order, keeping per matching the bitmask of the later edges that can extend
+it.  Callers score or test the tuples and build a Matching only for answers.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 DEFAULT_ORACLE_LIMIT = 24
@@ -304,34 +310,33 @@ def symmetric_difference_components(
     return tuple(components)
 
 
+def _matchings(
+    graph: BipartiteGraph, positions: Sequence[int], limit: int
+) -> Iterator[tuple[int, ...]]:
+    """The enumeration core (see the module docstring); refuses more than
+    limit positions."""
+    if len(positions) > limit:
+        raise OracleLimitError(f"oracle limit exceeded: {len(positions)} edges > {limit}")
+    n = len(graph.left)
+    touching = [sum(1 << p for p in adj) for adj in graph._adj_left + graph._adj_right]
+    disjoint = [~(touching[u] | touching[n + v]) for u, v in zip(graph._edge_left, graph._edge_right)]
+    # each entry: a matching and the mask of the later positions that extend it
+    stack = [((), sum(1 << p for p in positions))]
+    while stack:
+        chosen, extend = stack.pop()
+        yield chosen
+        later = 0
+        while extend:  # push the last edge's child first, so the first pops next
+            p = extend.bit_length() - 1
+            extend ^= 1 << p
+            stack.append((chosen + (p,), later & disjoint[p]))
+            later |= 1 << p
+
+
 def enumerate_matchings(
     graph: BipartiteGraph, limit: int = DEFAULT_ORACLE_LIMIT
 ) -> list[Matching]:
-    """Every matching of the graph (including the empty one), each exactly once.
-
-    Branches on edge positions in input order; refuses graphs with more than
-    `limit` edges since the output can grow exponentially.
-    """
-    m = len(graph.edges)
-    if m > limit:
-        raise OracleLimitError(f"oracle limit exceeded: {m} edges > {limit}")
-    eL, eR = graph._edge_left, graph._edge_right
-    used_left = [False] * len(graph.left)
-    used_right = [False] * len(graph.right)
-    out: list[Matching] = []
-    chosen: list[int] = []
-
-    def rec(start: int) -> None:
-        out.append(Matching(graph, [graph.edge_ids[p] for p in chosen]))
-        for pos in range(start, m):
-            ul, vr = eL[pos], eR[pos]
-            if used_left[ul] or used_right[vr]:
-                continue
-            used_left[ul] = used_right[vr] = True
-            chosen.append(pos)
-            rec(pos + 1)
-            chosen.pop()
-            used_left[ul] = used_right[vr] = False
-
-    rec(0)
-    return out
+    """Every matching of the graph, each once, in the order of _matchings;
+    refuses more than `limit` edges since the output grows exponentially."""
+    ids = graph.edge_ids
+    return [Matching(graph, [ids[p] for p in c]) for c in _matchings(graph, range(len(ids)), limit)]

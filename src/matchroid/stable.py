@@ -15,6 +15,11 @@ the position of its best neighbor not yet rejecting it) and match_u (per
 right vertex, its partner).  The matched edges are not stored: a matched
 left vertex u sits at position ptr[u] of its list, so deferred_acceptance
 reads them off at the end, and a subset sweep copies two lists per child.
+
+One stability test, _stability_test, serves is_stable and the oracle
+enumerate_stable_matchings.  Per edge (u, v) it holds v's place in u's
+ranking and u's place in v's; a matching is stable when no edge has each
+endpoint placing the other before its partner (is_blocking_pair's test).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .graphs import (
     UnknownVertexError,
     _as_matching,
     _check_left_subset,
-    enumerate_matchings,
+    _matchings,
 )
 
 
@@ -87,6 +92,7 @@ class StableMatchingInstance:
             normalized[r] = order
         self.prefs = PreferenceProfile(normalized)
         self._dense_cache = None
+        self._stable_cache = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StableMatchingInstance):
@@ -159,25 +165,38 @@ def is_blocking_pair(inst: StableMatchingInstance, m, e) -> bool:
     return u_wants and v_wants
 
 
-def is_stable(inst: StableMatchingInstance, m) -> bool:
-    """True iff no edge of the instance blocks m.
+def _stability_test(inst: StableMatchingInstance):
+    """The function of a matching's edge positions that is True iff no edge
+    blocks it, built once per instance.  An unmatched vertex holds a place
+    after all its neighbors', and a matched edge ties with itself."""
+    if inst._stable_cache is not None:
+        return inst._stable_cache
+    g = inst.graph
+    place = {(r, t): k for r in g.left + g.right for k, t in enumerate(inst.prefs.ranking(r))}
+    ranks = [(g._left_pos[u], g._right_pos[v], place[u, v], place[v, u]) for u, v in g.edges]
+    n_left, n_right = len(g.left), len(g.right)
 
-    Validates m once, then applies the is_blocking_pair test to every edge.
-    """
-    partner = _as_matching(inst.graph, m).partner
-    ranking = inst.prefs.ranking
-    for u, v in inst.graph.edges:
-        pu = partner(u)
-        if pu == v:
-            continue
-        ru = ranking(u)
-        if pu is not None and ru.index(pu) < ru.index(v):
-            continue
-        pv = partner(v)
-        rv = ranking(v)
-        if pv is None or rv.index(u) < rv.index(pv):
-            return False
-    return True
+    def stable(chosen) -> bool:
+        held_u = [n_right] * n_left
+        held_v = [n_left] * n_right
+        for p in chosen:
+            u, v, ru, rv = ranks[p]
+            held_u[u] = ru
+            held_v[v] = rv
+        for u, v, ru, rv in ranks:
+            if ru < held_u[u] and rv < held_v[v]:
+                return False
+        return True
+
+    inst._stable_cache = stable
+    return stable
+
+
+def is_stable(inst: StableMatchingInstance, m) -> bool:
+    """True iff no edge of the instance blocks m: validates m, then runs
+    _stability_test."""
+    g = inst.graph
+    return _stability_test(inst)([g._pos_of_id[eid] for eid in _as_matching(g, m).edge_ids])
 
 
 def _proposal_state(dense) -> tuple[list[int], list[int]]:
@@ -284,5 +303,7 @@ def choice_function_sm(inst: StableMatchingInstance, u_subset: Iterable[str]) ->
 def enumerate_stable_matchings(
     inst: StableMatchingInstance, limit: int = DEFAULT_ORACLE_LIMIT
 ) -> list[Matching]:
-    """All stable matchings, by filtering the full matching enumeration."""
-    return [m for m in enumerate_matchings(inst.graph, limit) if is_stable(inst, m)]
+    """All stable matchings, by testing every matching of the graph."""
+    g, stable = inst.graph, _stability_test(inst)
+    chosen = (c for c in _matchings(g, range(len(g.edges)), limit) if stable(c))
+    return [Matching(g, [g.edge_ids[p] for p in c]) for c in chosen]

@@ -20,14 +20,14 @@ gain; this is exact for any sign pattern.  Instances whose weights are
 positive, distinct, and superincreasing (each exceeding the sum of all
 smaller ones, e.g. distinct powers of two) take a greedy fast path instead,
 which is optimal there because the largest remaining weight always dominates
-the rest combined.  An exhaustive-enumeration oracle cross-checks both
-routes in the tests.
+the rest combined.  An exhaustive oracle, oracle_max_weight, checks both
+routes: against_oracle is the one loop that compares them per subset.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,7 +37,7 @@ from .graphs import (
     Matching,
     _as_matching,
     _check_left_subset,
-    enumerate_matchings,
+    _matchings,
 )
 
 ExactWeight = int | Fraction
@@ -74,7 +74,6 @@ class _Dense:
     edge_left: list[int]
     edge_right: list[int]
     perturbed: list[int]  # by edge position
-    perturbed_by_id: dict[int, int]
     desc_positions: list[int]  # positions sorted by descending true weight
     superincreasing: bool
 
@@ -118,7 +117,6 @@ class WeightedInstance:
                 (scaled[pos] << shift) - (1 << g.edge_ids[pos])
                 for pos in range(len(g.edges))
             ]
-            by_id = {g.edge_ids[pos]: perturbed[pos] for pos in range(len(g.edges))}
             desc = sorted(
                 range(len(g.edges)), key=lambda pos: scaled[pos], reverse=True
             )
@@ -131,7 +129,7 @@ class WeightedInstance:
                     break
                 total += w
             self._dense_cache = _Dense(
-                list(g._edge_left), list(g._edge_right), perturbed, by_id, desc, superinc
+                list(g._edge_left), list(g._edge_right), perturbed, desc, superinc
             )
         return self._dense_cache
 
@@ -219,15 +217,11 @@ def _solve_augmenting(dense: _Dense, allowed: list[bool], n_right: int, edge_ids
     return [edge_ids[pos] for pos in match_l if pos >= 0]
 
 
-def _allowed_mask(graph: BipartiteGraph, subset: set[str]) -> list[bool]:
-    return [u in subset for u in graph.left]
-
-
 def max_weight_matching(inst: WeightedInstance, u_subset: Iterable[str]) -> Matching:
     """The unique perturbed-weight optimum among matchings using only u_subset."""
     subset = _check_left_subset(inst.graph, u_subset)
     dense = inst._dense()
-    allowed = _allowed_mask(inst.graph, subset)
+    allowed = [u in subset for u in inst.graph.left]
     n_right = len(inst.graph.right)
     if dense.superincreasing:
         ids = _solve_greedy(dense, allowed, n_right, inst.graph.edge_ids)
@@ -239,18 +233,30 @@ def max_weight_matching(inst: WeightedInstance, u_subset: Iterable[str]) -> Matc
 def oracle_max_weight(
     inst: WeightedInstance, u_subset: Iterable[str], limit: int = DEFAULT_ORACLE_LIMIT
 ) -> Matching:
-    """Same contract as max_weight_matching, by scanning every matching."""
-    subset = _check_left_subset(inst.graph, u_subset)
-    sub = inst.graph.restrict(subset | set(inst.graph.right))
-    dense = inst._dense()
-    best_ids: tuple[int, ...] = ()
-    best_score = 0
-    for m in enumerate_matchings(sub, limit):
-        score = sum(dense.perturbed_by_id[eid] for eid in m.edge_ids)
-        if score > best_score:
-            best_score = score
-            best_ids = m.edge_ids
-    return Matching(inst.graph, best_ids)
+    """Same contract as max_weight_matching, by scanning every matching of the
+    allowed left vertices' edges; limit caps the number of those edges."""
+    g = inst.graph
+    subset = _check_left_subset(g, u_subset)
+    positions = [p for p, (u, _) in enumerate(g.edges) if u in subset]
+    weight = inst._dense().perturbed.__getitem__
+    # no two matchings tie on perturbed weight (see the module docstring)
+    best = max(_matchings(g, positions, limit), key=lambda chosen: sum(map(weight, chosen)))
+    return Matching(g, [g.edge_ids[p] for p in best])
+
+
+def against_oracle(
+    inst: WeightedInstance, limit: int = DEFAULT_ORACLE_LIMIT
+) -> Iterator[tuple[set[str], Matching, Matching]]:
+    """(subset, max_weight_matching, oracle_max_weight) for every left subset,
+    in ascending bitmask order, whose allowed edges number at most limit; the
+    larger subsets are skipped."""
+    g = inst.graph
+    degree = [len(adj) for adj in g._adj_left]
+    for u_mask in range(1 << len(degree)):
+        members = [i for i in range(len(degree)) if u_mask >> i & 1]
+        if sum(degree[i] for i in members) <= limit:
+            subset = {g.left[i] for i in members}
+            yield subset, max_weight_matching(inst, subset), oracle_max_weight(inst, subset, limit)
 
 
 def induced_map_mm(inst: WeightedInstance, u_subset: Iterable[str]) -> frozenset[str]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -193,3 +194,24 @@ def test_enumerate_matchings_limit():
     with pytest.raises(OracleLimitError, match="oracle limit"):
         enumerate_matchings(g)
     assert len(enumerate_matchings(g, limit=25)) == 26
+
+
+def test_enumerate_matchings_equals_combinations_in_order():
+    # edge ids differ from positions, as after a restriction; at most 12 edges
+    rng = random.Random(9)
+    for _ in range(80):
+        n_l, n_r = rng.randint(1, 5), rng.randint(1, 5)
+        edges = [(f"u{i}", f"v{j}") for i in range(n_l) for j in range(n_r)]
+        rng.shuffle(edges)
+        edges = edges[: rng.randint(0, 12)]
+        ids = rng.sample(range(40), len(edges))
+        g = BipartiteGraph([f"u{i}" for i in range(n_l)], [f"v{j}" for j in range(n_r)], edges, ids)
+        combos = [
+            c
+            for k in range(min(n_l, n_r) + 1)
+            for c in itertools.combinations(range(len(edges)), k)
+            if len({x for p in c for x in edges[p]}) == 2 * k
+        ]
+        # depth first by the edge added is lexicographic order on positions
+        expected = [tuple(sorted(ids[p] for p in c)) for c in sorted(combos)]
+        assert [m.edge_ids for m in enumerate_matchings(g)] == expected

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -175,3 +176,35 @@ def test_monotonicity_spot():
             assert f[m2] <= f[m1]
             if len(f[m1]) == m1.bit_count():
                 assert len(f[m2]) == m2.bit_count()
+
+
+def test_stable_matchings_equal_combinations_on_restrictions():
+    # restrictions keep the original edge ids, so ids and positions differ
+    rng = random.Random(26)
+    checked = 0
+    for _ in range(60):
+        left = [f"u{i}" for i in range(rng.randint(2, 5))]
+        right = [f"v{j}" for j in range(rng.randint(2, 5))]
+        edges = [(u, v) for u in left for v in right]
+        rng.shuffle(edges)
+        g = BipartiteGraph(left, right, edges[: rng.randint(6, 16)])
+        prefs = {r: rng.sample(g.neighbors(r), len(g.neighbors(r))) for r in left + right}
+        inst = StableMatchingInstance(g, prefs)
+        keep = [r for r in left + right if rng.random() < 0.85]
+        sub = restrict_instance(inst, keep)
+        g = sub.graph
+        if len(g.edges) > 12:
+            continue
+        stable = set()
+        for k in range(min(len(g.left), len(g.right)) + 1):
+            for combo in itertools.combinations(g.edge_ids, k):
+                if len({x for eid in combo for x in g.endpoints(eid)}) < 2 * k:
+                    continue
+                m = Matching(g, combo)
+                expected = not any(is_blocking_pair(sub, m, e) for e in g.edges)
+                assert is_stable(sub, m) == expected
+                if expected:
+                    stable.add(m.edge_ids)
+        assert {m.edge_ids for m in enumerate_stable_matchings(sub)} == stable
+        checked += 1
+    assert checked >= 40

@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from matchroid.fuzz import random_weighted_instance
-from matchroid.graphs import BipartiteGraph, Matching
+from matchroid.graphs import BipartiteGraph, Matching, OracleLimitError
 from matchroid.weighted import (
     WeightedInstance,
     WeightFunction,
@@ -36,7 +37,7 @@ def brute_force_best(inst, subset):
             used.add(v)
         if not ok:
             continue
-        score = sum(dense.perturbed_by_id[eid] for eid in chosen)
+        score = sum(dense.perturbed[g._pos_of_id[eid]] for eid in chosen)
         if score > best_score:
             best, best_score = tuple(sorted(chosen)), score
     return best
@@ -190,3 +191,43 @@ def test_monotonicity_spot():
             assert f[m2] <= f[m1]
             if len(f[m1]) == m1.bit_count():
                 assert len(f[m2]) == m2.bit_count()
+
+
+def test_oracle_is_the_unique_perturbed_optimum_by_combinations():
+    # edge ids differ from positions; every left subset
+    # small weights, so that true weights often tie
+    rng = random.Random(81)
+    for _ in range(30):
+        left = [f"u{i}" for i in range(rng.randint(2, 4))]
+        right = [f"v{j}" for j in range(rng.randint(2, 5))]
+        edges = [(u, v) for u in left for v in right]
+        rng.shuffle(edges)
+        edges = edges[: rng.randint(4, 12)]
+        ids = rng.sample(range(30), len(edges))
+        g = BipartiteGraph(left, right, edges, ids)
+        inst = WeightedInstance(g, [rng.randint(-3, 3) for _ in edges])
+        perturbed = inst._dense().perturbed
+        for mask in range(1 << len(g.left)):
+            subset = {u for i, u in enumerate(g.left) if mask >> i & 1}
+            positions = [p for p, (u, _) in enumerate(g.edges) if u in subset]
+            scores = {
+                c: sum(perturbed[p] for p in c)
+                for k in range(len(subset) + 1)
+                for c in itertools.combinations(positions, k)
+                if len({x for p in c for x in g.edges[p]}) == 2 * k
+            }
+            best = max(scores, key=scores.get)
+            assert sorted(scores.values()).count(scores[best]) == 1
+            assert oracle_max_weight(inst, subset).edge_ids == tuple(sorted(ids[p] for p in best))
+
+
+def test_oracle_limit_counts_the_allowed_edges():
+    left = [f"u{i}" for i in range(5)]
+    right = [f"v{j}" for j in range(5)]
+    g = BipartiteGraph(left, right, [(u, v) for u in left for v in right])
+    inst = WeightedInstance(g, [1] * 25)
+    assert len(oracle_max_weight(inst, left[:4])) == 4  # 20 allowed edges of 25
+    with pytest.raises(OracleLimitError, match=r"^oracle limit exceeded: 25 edges > 24$"):
+        oracle_max_weight(inst, left)
+    with pytest.raises(OracleLimitError, match=r"^oracle limit exceeded: 10 edges > 9$"):
+        oracle_max_weight(inst, left[:2], limit=9)
