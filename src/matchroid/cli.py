@@ -18,19 +18,13 @@ from .graphs import DEFAULT_ORACLE_LIMIT, OracleLimitError
 from .induced import (
     DEFAULT_SWEEP_LIMIT,
     SweepLimitError,
+    check_sweep_limit,
     check_theorem,
     enumerate_codomain_mm,
     enumerate_codomain_sm,
 )
-from . import io
+from . import io, stable, weighted
 from .representation import represent_stable, represent_weighted, verify_roundtrip
-from .stable import (
-    deferred_acceptance,
-    enumerate_stable_matchings,
-    is_stable,
-    restrict_instance,
-)
-from .weighted import against_oracle
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -81,43 +75,20 @@ def cmd_verify_family(args) -> int:
 
 def cmd_represent(args) -> int:
     family = io.load_set_family(args.input)
-    try:
-        if args.kind == "stable":
-            bundle = represent_stable(family)
-            doc = io.stable_instance_to_json(bundle.instance)
-        else:
-            bundle = represent_weighted(family, formula=args.formula)
-            doc = io.weighted_instance_to_json(bundle.instance)
-    except NotAntimatroidError as e:
-        _emit(
-            {
-                "command": "represent",
-                "antimatroid": False,
-                "diagnostic": io.diagnostic_to_json(e.diagnostic),
-            },
-            args.out,
-        )
-        return 1
+    if args.kind == "stable":
+        doc = io.stable_instance_to_json(represent_stable(family).instance)
+    else:
+        bundle = represent_weighted(family, formula=args.formula)
+        doc = io.weighted_instance_to_json(bundle.instance)
     _emit(doc, args.out)
     return 0
 
 
 def cmd_roundtrip(args) -> int:
     family = io.load_set_family(args.input)
-    try:
-        equal, detail = verify_roundtrip(
-            family, args.kind, formula=args.formula, sweep_limit=args.sweep_limit
-        )
-    except NotAntimatroidError as e:
-        _emit(
-            {
-                "command": "roundtrip",
-                "antimatroid": False,
-                "diagnostic": io.diagnostic_to_json(e.diagnostic),
-            },
-            args.out,
-        )
-        return 1
+    equal, detail = verify_roundtrip(
+        family, args.kind, formula=args.formula, sweep_limit=args.sweep_limit
+    )
     _emit({"command": "roundtrip", "equal": equal, "report": detail}, args.out)
     return 0 if equal else 1
 
@@ -162,35 +133,20 @@ def cmd_fuzz(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     inst = _load_instance(args.input, args.kind)
-    g = inst.graph
-    n = len(g.left)
-    if n > args.sweep_limit:
-        raise SweepLimitError(
-            f"sweep limit exceeded: 2**{n} subsets > 2**{args.sweep_limit}"
-        )
-    checked = skipped = 0
+    n = len(inst.graph.left)
+    check_sweep_limit(n, args.sweep_limit)
+    against_oracle = stable.against_oracle if args.kind == "stable" else weighted.against_oracle
+    checked = 0
     detail = []
-    if args.kind == "weighted":
-        for subset, solver, oracle in against_oracle(inst, args.oracle_limit):
-            checked += 1
-            if solver != oracle:
-                detail.append({"subset": sorted(subset), "solver": sorted(solver.pairs()),
-                               "oracle": sorted(oracle.pairs())})
-        skipped = (1 << n) - checked
-    else:
-        for u_mask in range(1 << n):
-            subset = {g.left[i] for i in range(n) if u_mask >> i & 1}
-            sub = restrict_instance(inst, subset | set(g.right))
-            m = deferred_acceptance(inst, subset)
-            ok = is_stable(sub, m)
-            if ok and len(sub.graph.edges) <= args.oracle_limit:
-                all_stable = enumerate_stable_matchings(sub, args.oracle_limit)
-                lefts = {s.matched_left() for s in all_stable}
-                rights = {s.matched_right() for s in all_stable}
-                ok = m in all_stable and len(lefts) <= 1 and len(rights) <= 1
-            checked += 1
-            if not ok:
-                detail.append({"subset": sorted(subset), "matching": sorted(m.pairs())})
+    # stable yields (subset, matching, verdict), weighted (subset, solver, oracle)
+    for subset, solver, oracle in against_oracle(inst, args.oracle_limit):
+        checked += 1
+        if args.kind == "stable" and not oracle:
+            detail.append({"subset": sorted(subset), "matching": sorted(solver.pairs())})
+        elif args.kind == "weighted" and solver != oracle:
+            detail.append({"subset": sorted(subset), "solver": sorted(solver.pairs()),
+                           "oracle": sorted(oracle.pairs())})
+    skipped = (1 << n) - checked
     _emit(
         {
             "command": "oracle-check",
@@ -216,7 +172,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, kind=False, formula=False, needs_input=True):
+    options = {
+        "--seed": dict(type=int, default=0, help="seed for fuzz campaigns"),
+        "--oracle-limit": dict(type=int, default=DEFAULT_ORACLE_LIMIT,
+                               help="max edges for exhaustive matching enumeration"),
+        "--sweep-limit": dict(type=int, default=DEFAULT_SWEEP_LIMIT,
+                              help="max left size n for 2**n subset sweeps"),
+    }
+
+    def common(p, *flags, kind=True, formula=False, needs_input=True):
+        """The input file, --kind, --formula, the given options of `options`, --out."""
         if needs_input:
             p.add_argument("input", help="input JSON file")
         if kind:
@@ -229,40 +194,33 @@ def build_parser() -> argparse.ArgumentParser:
                 "--formula", choices=("corrected", "literal"), default="corrected",
                 help="weight exponent layout for weighted representations",
             )
-        p.add_argument("--seed", type=int, default=0, help="seed for fuzz campaigns")
-        p.add_argument(
-            "--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT,
-            help="max edges for exhaustive matching enumeration",
-        )
-        p.add_argument(
-            "--sweep-limit", type=int, default=DEFAULT_SWEEP_LIMIT,
-            help="max left size n for 2**n subset sweeps",
-        )
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
         p.add_argument("--out", help="write the JSON document here instead of stdout")
 
     p = sub.add_parser("induce", help="enumerate the induced family of an instance")
-    common(p, kind=True)
+    common(p, "--sweep-limit")
     p.set_defaults(func=cmd_induce)
 
     p = sub.add_parser("verify-family", help="check the antimatroid axioms on a family")
-    common(p)
+    common(p, kind=False)
     p.set_defaults(func=cmd_verify_family)
 
     p = sub.add_parser("represent", help="build a matching instance from an antimatroid")
-    common(p, kind=True, formula=True)
+    common(p, formula=True)
     p.set_defaults(func=cmd_represent)
 
     p = sub.add_parser("roundtrip", help="represent a family, then re-induce and compare")
-    common(p, kind=True, formula=True)
+    common(p, "--sweep-limit", formula=True)
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("fuzz", help="random instances; failures are serialized")
-    common(p, kind=True, needs_input=False)
+    common(p, "--seed", "--oracle-limit", "--sweep-limit", needs_input=False)
     p.add_argument("--trials", type=int, default=100, help="number of random instances")
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("oracle-check", help="cross-check the solver on every subset")
-    common(p, kind=True)
+    common(p, "--oracle-limit", "--sweep-limit")
     p.set_defaults(func=cmd_oracle_check)
 
     return parser
@@ -281,7 +239,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_counts(args)
-        return args.func(args)
+        try:
+            return args.func(args)
+        except NotAntimatroidError as e:  # from represent and roundtrip
+            _emit({"command": args.command, "antimatroid": False,
+                   "diagnostic": io.diagnostic_to_json(e.diagnostic)}, args.out)
+            return 1
     except (io.SchemaError, OracleLimitError, SweepLimitError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

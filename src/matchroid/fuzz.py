@@ -88,7 +88,6 @@ def fuzz_weighted(
     max_side: int = 6,
     sweep_limit: int = DEFAULT_SWEEP_LIMIT,
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
-    check_oracle: bool = True,
 ) -> list[FuzzFailure]:
     """Random weighted instances: antimatroid verdicts plus solver-vs-oracle.
 
@@ -104,17 +103,10 @@ def fuzz_weighted(
         if not ok:
             failures.append(FuzzFailure(t, "weighted", diag.reason(), inst))
             continue
-        if check_oracle:
-            for subset, solver, oracle in against_oracle(inst, oracle_limit):
-                if solver != oracle:
-                    failures.append(
-                        FuzzFailure(
-                            t,
-                            "weighted",
-                            f"solver {sorted(solver.pairs())} != oracle "
-                            f"{sorted(oracle.pairs())} on subset {sorted(subset)}",
-                            inst,
-                        )
-                    )
-                    break
+        for subset, solver, oracle in against_oracle(inst, oracle_limit):
+            if solver != oracle:
+                reason = (f"solver {sorted(solver.pairs())} != oracle "
+                          f"{sorted(oracle.pairs())} on subset {sorted(subset)}")
+                failures.append(FuzzFailure(t, "weighted", reason, inst))
+                break
     return failures

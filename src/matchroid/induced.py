@@ -30,6 +30,12 @@ class SweepLimitError(ValueError):
     """A codomain sweep would need more than 2**limit evaluations."""
 
 
+def check_sweep_limit(n: int, sweep_limit: int) -> None:
+    """Refuse a sweep over the 2**n subsets of n left vertices beyond 2**sweep_limit."""
+    if n > sweep_limit:
+        raise SweepLimitError(f"sweep limit exceeded: 2**{n} subsets > 2**{sweep_limit}")
+
+
 class InducedFamilyReport:
     """The induced family over V, with one witness subset per member.
 
@@ -101,8 +107,7 @@ def _sweep(graph, root, extend, instance_kind, instance, sweep_limit) -> Induced
     witness masks go to the report as they are.
     """
     n = len(graph.left)
-    if n > sweep_limit:
-        raise SweepLimitError(f"sweep limit exceeded: 2**{n} subsets > 2**{sweep_limit}")
+    check_sweep_limit(n, sweep_limit)
     best: dict[int, int] = {0: 0}
     step = 1 << n
     stack = [(root, 0, 0, 0)]  # (state, v_mask, u_mask, popcount << n)

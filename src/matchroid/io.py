@@ -142,9 +142,15 @@ def parse_set_family(obj) -> SetFamily:
     ground = _string_list(doc["ground"], "ground")
     if not isinstance(doc["sets"], list):
         raise SchemaError("field 'sets': expected a list")
-    members = []
+    members = {}  # member -> the field that first lists it
     for i, s in enumerate(doc["sets"]):
-        members.append(_string_list(s, f"sets[{i}]"))
+        field = f"sets[{i}]"
+        member = frozenset(_string_list(s, field))
+        if len(member) != len(s):
+            raise SchemaError(f"field {field!r}: lists an element twice")
+        if member in members:
+            raise SchemaError(f"field {field!r}: repeats {members[member]}")
+        members[member] = field
     try:
         return SetFamily(ground, members)
     except ValueError as e:

@@ -44,18 +44,14 @@ class RepresentationBundle:
     kind: str
 
 
-def _require_antimatroid(family: SetFamily) -> None:
-    ok, diag = is_antimatroid(family)
-    if not ok:
-        raise NotAntimatroidError(diag)
-
-
 def _prepare_decoration(
     family: SetFamily, deco: ChainDecoration | None, tie_seed: int | None
 ) -> ChainDecoration:
-    _require_antimatroid(family)
     if deco is None:
-        return build_decoration(family, tie_seed)
+        return build_decoration(family, tie_seed)  # checks the axioms itself
+    ok, diag = is_antimatroid(family)
+    if not ok:
+        raise NotAntimatroidError(diag)
     validate_decoration(family, deco)
     return deco
 
@@ -80,6 +76,34 @@ def _build_graph(family: SetFamily, deco: ChainDecoration, labels) -> BipartiteG
     return BipartiteGraph([labels[m] for m in deco.feasible_order], family.ground, edges)
 
 
+def _bundle(
+    family: SetFamily, deco: ChainDecoration, kind: str, formula: str = "corrected"
+) -> RepresentationBundle:
+    """The representation of kind built from a decoration known to be valid."""
+    labels = _left_labels(family, deco)
+    graph = _build_graph(family, deco, labels)
+    if kind == "stable":
+        prefs: dict[str, list[str]] = {
+            labels[member]: list(deco.chain_order[member]) for member in deco.feasible_order
+        }
+        for v in family.ground:
+            prefs[v] = [labels[member] for member in deco.feasible_order if v in member]
+        inst = StableMatchingInstance(graph, prefs)
+    else:
+        if formula not in FORMULAS:
+            raise ValueError(f"formula must be one of {FORMULAS}, got {formula!r}")
+        n_v = len(family.ground)
+        weights = []
+        for member in deco.feasible_order:
+            b = deco.rank[member]
+            chain = deco.chain_order[member]
+            for i, _v in enumerate(chain, start=1):
+                offset = i if formula == "literal" else n_v + 1 - i
+                weights.append(1 << (n_v * b + offset))
+        inst = WeightedInstance(graph, weights)
+    return RepresentationBundle(family, deco, inst, labels, kind)
+
+
 def represent_stable(
     family: SetFamily,
     deco: ChainDecoration | None = None,
@@ -90,16 +114,7 @@ def represent_stable(
     Each left vertex ranks its elements in chain order; each ground element
     ranks the members containing it by the feasible order.
     """
-    deco = _prepare_decoration(family, deco, tie_seed)
-    labels = _left_labels(family, deco)
-    graph = _build_graph(family, deco, labels)
-    prefs: dict[str, list[str]] = {
-        labels[member]: list(deco.chain_order[member]) for member in deco.feasible_order
-    }
-    for v in family.ground:
-        prefs[v] = [labels[member] for member in deco.feasible_order if v in member]
-    inst = StableMatchingInstance(graph, prefs)
-    return RepresentationBundle(family, deco, inst, labels, "stable")
+    return _bundle(family, _prepare_decoration(family, deco, tie_seed), "stable")
 
 
 def represent_weighted(
@@ -115,21 +130,7 @@ def represent_weighted(
     members, so higher-ranked members always dominate.  Within a block the
     "corrected" layout decreases along the chain order; "literal" increases.
     """
-    if formula not in FORMULAS:
-        raise ValueError(f"formula must be one of {FORMULAS}, got {formula!r}")
-    deco = _prepare_decoration(family, deco, tie_seed)
-    labels = _left_labels(family, deco)
-    graph = _build_graph(family, deco, labels)
-    n_v = len(family.ground)
-    weights = []
-    for member in deco.feasible_order:
-        b = deco.rank[member]
-        chain = deco.chain_order[member]
-        for i, _v in enumerate(chain, start=1):
-            offset = i if formula == "literal" else n_v + 1 - i
-            weights.append(1 << (n_v * b + offset))
-    inst = WeightedInstance(graph, weights)
-    return RepresentationBundle(family, deco, inst, labels, "weighted")
+    return _bundle(family, _prepare_decoration(family, deco, tie_seed), "weighted", formula)
 
 
 def _member_chain_check(bundle: RepresentationBundle) -> bool:
@@ -164,17 +165,12 @@ def verify_roundtrip(
     """
     if kind not in ("stable", "weighted"):
         raise ValueError(f"kind must be 'stable' or 'weighted', got {kind!r}")
-    _require_antimatroid(family)
+    deco = build_decoration(family, tie_seed)  # not an antimatroid: raised before the size limit
     if len(family) > max_members:
         raise ValueError(f"size limit exceeded: {len(family)} members > {max_members}")
-    deco = build_decoration(family, tie_seed)
-    if kind == "stable":
-        bundle = represent_stable(family, deco)
-        report = enumerate_codomain_sm(bundle.instance, sweep_limit)
-    else:
-        bundle = represent_weighted(family, deco, formula)
-        report = enumerate_codomain_mm(bundle.instance, sweep_limit)
-    produced = report.family
+    bundle = _bundle(family, deco, kind, formula)
+    enumerate_codomain = enumerate_codomain_sm if kind == "stable" else enumerate_codomain_mm
+    produced = enumerate_codomain(bundle.instance, sweep_limit).family
     have = frozenset(produced.members)
     want = frozenset(family.members)
     equal = produced == family

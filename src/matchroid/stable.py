@@ -16,16 +16,19 @@ right vertex, its partner).  The matched edges are not stored: a matched
 left vertex u sits at position ptr[u] of its list, so deferred_acceptance
 reads them off at the end, and a subset sweep copies two lists per child.
 
-One stability test, _stability_test, serves is_stable and the oracle
-enumerate_stable_matchings.  Per edge (u, v) it holds v's place in u's
-ranking and u's place in v's; a matching is stable when no edge has each
-endpoint placing the other before its partner (is_blocking_pair's test).
+One stability test, _stability_test, serves is_stable, the oracle
+enumerate_stable_matchings and against_oracle, the solver-vs-oracle loop.
+Per edge (u, v) it holds v's place in u's ranking and u's place in v's; a
+matching is stable when no edge that may block has each endpoint placing
+the other before its partner (is_blocking_pair's test).  Restriction keeps
+relative orders, so against_oracle tests a left subset on the full
+instance, over the subset's edges only.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .graphs import (
     DEFAULT_ORACLE_LIMIT,
@@ -166,24 +169,27 @@ def is_blocking_pair(inst: StableMatchingInstance, m, e) -> bool:
 
 
 def _stability_test(inst: StableMatchingInstance):
-    """The function of a matching's edge positions that is True iff no edge
-    blocks it, built once per instance.  An unmatched vertex holds a place
-    after all its neighbors', and a matched edge ties with itself."""
+    """The function of a matching's edge positions, and of the positions of
+    the edges that may block it (all by default), that is True iff none of
+    those blocks it; built once per instance.  An unmatched vertex holds a
+    place after all its neighbors', and a matched edge ties with itself."""
     if inst._stable_cache is not None:
         return inst._stable_cache
     g = inst.graph
-    place = {(r, t): k for r in g.left + g.right for k, t in enumerate(inst.prefs.ranking(r))}
-    ranks = [(g._left_pos[u], g._right_pos[v], place[u, v], place[v, u]) for u, v in g.edges]
-    n_left, n_right = len(g.left), len(g.right)
+    prefs_right, _, rank, n_right = inst._dense()
+    n_left = len(prefs_right)
+    ranks = [(u, v, prefs_right[u].index(v), rank[v][u])
+             for u, v in zip(g._edge_left, g._edge_right)]
 
-    def stable(chosen) -> bool:
+    def stable(chosen, among=range(len(ranks))) -> bool:
         held_u = [n_right] * n_left
         held_v = [n_left] * n_right
         for p in chosen:
             u, v, ru, rv = ranks[p]
             held_u[u] = ru
             held_v[v] = rv
-        for u, v, ru, rv in ranks:
+        for p in among:
+            u, v, ru, rv = ranks[p]
             if ru < held_u[u] and rv < held_v[v]:
                 return False
         return True
@@ -307,3 +313,28 @@ def enumerate_stable_matchings(
     g, stable = inst.graph, _stability_test(inst)
     chosen = (c for c in _matchings(g, range(len(g.edges)), limit) if stable(c))
     return [Matching(g, [g.edge_ids[p] for p in c]) for c in chosen]
+
+
+def against_oracle(
+    inst: StableMatchingInstance, limit: int = DEFAULT_ORACLE_LIMIT
+) -> Iterator[tuple[set[str], Matching, bool]]:
+    """(subset, deferred_acceptance matching, verdict) for every left subset,
+    in ascending bitmask order.  The verdict holds when no edge of the subset
+    blocks the matching and, if the subset has at most limit edges, the
+    matching is one of its stable matchings and all of those match the same
+    vertices (rural hospitals; Gusfield-Irving 1989)."""
+    g, stable = inst.graph, _stability_test(inst)
+    n = len(g.left)
+    for u_mask in range(1 << n):
+        members = [i for i in range(n) if u_mask >> i & 1]
+        among = [p for i in members for p in g._adj_left[i]]
+        subset = {g.left[i] for i in members}
+        m = deferred_acceptance(inst, subset)
+        chosen = frozenset(g._pos_of_id[eid] for eid in m.edge_ids)
+        ok = stable(chosen, among)
+        if ok and len(among) <= limit:
+            found = {frozenset(c) for c in _matchings(g, among, limit) if stable(c, among)}
+            ends = {(sum(1 << g._edge_left[p] for p in c), sum(1 << g._edge_right[p] for p in c))
+                    for c in found}
+            ok = chosen in found and len(ends) == 1
+        yield subset, m, ok

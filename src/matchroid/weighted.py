@@ -21,7 +21,8 @@ positive, distinct, and superincreasing (each exceeding the sum of all
 smaller ones, e.g. distinct powers of two) take a greedy fast path instead,
 which is optimal there because the largest remaining weight always dominates
 the rest combined.  An exhaustive oracle, oracle_max_weight, checks both
-routes: against_oracle is the one loop that compares them per subset.
+routes: against_oracle is the one loop that compares them per subset (the
+stable side has its own, stable.against_oracle).
 """
 
 from __future__ import annotations

@@ -208,6 +208,40 @@ def test_negative_limits_exit_2(capsys, argv, flag):
     assert f"{flag} must be non-negative" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["induce", DATA / "prefs_3x3.json", "--kind", "stable", "--seed", "1"],
+        ["induce", DATA / "prefs_3x3.json", "--kind", "stable", "--oracle-limit", "3"],
+        ["verify-family", DATA / "family_chain.json", "--seed", "1"],
+        ["verify-family", DATA / "family_chain.json", "--oracle-limit", "3"],
+        ["verify-family", DATA / "family_chain.json", "--sweep-limit", "3"],
+        ["represent", DATA / "family_chain.json", "--kind", "stable", "--seed", "1"],
+        ["represent", DATA / "family_chain.json", "--kind", "stable", "--oracle-limit", "3"],
+        ["represent", DATA / "family_chain.json", "--kind", "stable", "--sweep-limit", "3"],
+        ["roundtrip", DATA / "family_chain.json", "--kind", "stable", "--seed", "1"],
+        ["roundtrip", DATA / "family_chain.json", "--kind", "stable", "--oracle-limit", "3"],
+        ["oracle-check", DATA / "prefs_3x3.json", "--kind", "stable", "--seed", "1"],
+    ],
+)
+def test_options_a_command_does_not_read_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        cli.main([str(a) for a in argv])
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def test_repeated_set_family_member_exits_2(capsys, tmp_path):
+    path = tmp_path / "repeats.json"
+    path.write_text('{"ground": ["a", "b"], "sets": [[], ["a", "a"], ["a"], ["a", "b"]]}')
+    assert cli.main(["verify-family", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'sets[1]': lists an element twice" in captured.err
+
+
 @pytest.mark.parametrize("weight", [" 2_000 ", "1e5", "1e5000000"])
 def test_non_schema_weight_string_exits_2(capsys, tmp_path, weight):
     path = tmp_path / "w.json"

@@ -4,8 +4,9 @@ Each case is one command on one demos/data file (plus two small fuzz
 campaigns).  tests/golden/<case>.stdout holds its stdout and
 tests/golden/exit_codes.json its exit code.  SIZED cases run oracle-check on
 inputs of the benchmark's sizes (tests/golden/inputs/), and MISMATCH cases
-run with a solver that drops an edge from each answer, so that the mismatch
-reports are pinned too; both carry their exit codes here.  After a
+run with faulty solvers (the weighted one drops an edge from each answer,
+the stable one frees right vertex 0), so that the mismatch reports are
+pinned too; both carry their exit codes here.  After a
 deliberate change to the output, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -20,7 +21,7 @@ from unittest import mock
 
 import pytest
 
-from matchroid import cli, weighted
+from matchroid import cli, stable, weighted
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "demos" / "data"
@@ -56,6 +57,8 @@ SIZED = {
                                            "--kind", "weighted", "--oracle-limit", "12"], 0),
     "oracle-check-stable_7x7": (["oracle-check", "tests/golden/inputs/stable_7x7.json",
                                  "--kind", "stable"], 0),
+    "oracle-check-stable_7x7-limit12": (["oracle-check", "tests/golden/inputs/stable_7x7.json",
+                                         "--kind", "stable", "--oracle-limit", "12"], 0),
 }
 # OUT stands for the directory that receives the counterexample files
 MISMATCH = {
@@ -63,6 +66,11 @@ MISMATCH = {
                                            "--kind", "weighted"], 1),
     "mismatch-fuzz-weighted": (["fuzz", "--kind", "weighted", "--trials", "8", "--seed", "3",
                                 "--out", "OUT"], 1),
+    "mismatch-oracle-check-prefs_3x3": (["oracle-check", "demos/data/prefs_3x3.json",
+                                         "--kind", "stable"], 1),
+    "mismatch-oracle-check-stable_7x7-limit12": (["oracle-check",
+                                                  "tests/golden/inputs/stable_7x7.json",
+                                                  "--kind", "stable", "--oracle-limit", "12"], 1),
 }
 
 
@@ -90,14 +98,27 @@ def test_benchmark_size_oracle_check_matches_golden(case):
     assert out.encode("utf-8") == (GOLDEN / f"{case}.stdout").read_bytes()
 
 
+def free_right_0(run):
+    """The proposal loop run, then right vertex 0 freed of its partner."""
+
+    def faulty(dense, active, rng, state):
+        newly = run(dense, active, rng, state)
+        state[1][0] = -1
+        return newly & ~1
+
+    return faulty
+
+
 def run_mismatch(argv: list[str], outdir: Path) -> tuple[int, str, dict[str, bytes]]:
     """Run argv with max_weight_matching's solver dropping the last edge of
-    every answer (the induced sweep keeps the real solver).
+    every answer and the stable proposal loop freeing right vertex 0 (the
+    induced sweeps, which import their solvers by name, keep the real ones).
 
     Returns the exit code, the stdout with outdir written as OUT, and the
     counterexample files by name."""
     solve = weighted._solve_augmenting
-    with mock.patch.object(weighted, "_solve_augmenting", lambda *a: solve(*a)[:-1]):
+    with mock.patch.object(weighted, "_solve_augmenting", lambda *a: solve(*a)[:-1]), \
+            mock.patch.object(stable, "_run_proposals", free_right_0(stable._run_proposals)):
         code, out = run_case([str(outdir) if a == "OUT" else a for a in argv])
     files = {p.name: p.read_bytes() for p in sorted(outdir.glob("*.json"))}
     return code, out.replace(str(outdir), "OUT"), files

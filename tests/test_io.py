@@ -93,6 +93,18 @@ def test_schema_errors(tmp_path):
         io.load_json(bad)
 
 
+@pytest.mark.parametrize(
+    "sets,message",
+    [
+        ([[], ["a", "a"], ["a"], ["a", "b"]], r"'sets\[1\]': lists an element twice"),
+        ([[], ["a"], ["b", "a"], ["a", "b"]], r"'sets\[3\]': repeats sets\[2\]"),
+    ],
+)
+def test_set_family_repeats_are_schema_errors(sets, message):
+    with pytest.raises(io.SchemaError, match=message):
+        io.parse_set_family({"ground": ["a", "b"], "sets": sets})
+
+
 def test_member_key():
     fam = SetFamily(["v2", "v1"], [[], ["v1", "v2"]])
     assert io.member_key(fam, frozenset()) == ""

@@ -110,6 +110,16 @@ def test_verify_roundtrip_size_limit():
         verify_roundtrip(free, "stable")
 
 
+def test_verify_roundtrip_reports_non_antimatroid_before_size_limit():
+    ground = tuple("abcdefg")
+    no_empty_set = SetFamily(
+        ground,
+        [[ground[i] for i in range(7) if code >> i & 1] for code in range(1, 1 << 7)],
+    )
+    with pytest.raises(NotAntimatroidError):
+        verify_roundtrip(no_empty_set, "stable")
+
+
 def test_weight_blocks_disjoint_powers_of_two():
     rng = random.Random(51)
     for _ in range(15):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from matchroid import stable
 from matchroid.fuzz import random_stable_instance
 from matchroid.graphs import BipartiteGraph, Matching, UnknownVertexError, enumerate_matchings
 from matchroid.stable import (
@@ -208,3 +209,79 @@ def test_stable_matchings_equal_combinations_on_restrictions():
         assert {m.edge_ids for m in enumerate_stable_matchings(sub)} == stable
         checked += 1
     assert checked >= 40
+
+
+def restricted_oracle(inst, limit):
+    """The stable oracle one restricted instance at a time: for every left
+    subset in ascending bitmask order, (subset, matching, verdict)."""
+    g = inst.graph
+    n = len(g.left)
+    out = []
+    for u_mask in range(1 << n):
+        subset = {g.left[i] for i in range(n) if u_mask >> i & 1}
+        sub = restrict_instance(inst, subset | set(g.right))
+        m = deferred_acceptance(inst, subset)
+        ok = is_stable(sub, m)
+        if ok and len(sub.graph.edges) <= limit:
+            all_stable = enumerate_stable_matchings(sub, limit)
+            lefts = {s.matched_left() for s in all_stable}
+            rights = {s.matched_right() for s in all_stable}
+            ok = m in all_stable and len(lefts) <= 1 and len(rights) <= 1
+        out.append((subset, m, ok))
+    return out
+
+
+def free_last_right(run):
+    """The proposal loop run, then the last matched right vertex freed."""
+
+    def faulty(dense, active, rng, state):
+        newly = run(dense, active, rng, state)
+        match_u = state[1]
+        matched = [v for v, u in enumerate(match_u) if u >= 0]
+        if matched:
+            match_u[matched[-1]] = -1
+        return newly
+
+    return faulty
+
+
+@pytest.mark.parametrize("fault", [False, True])
+def test_against_oracle_equals_the_restricted_oracle(fault, monkeypatch):
+    # half the instances are restrictions, whose edge ids are not positions;
+    # limit 4 sends most subsets past the enumeration, to the blocking test alone
+    if fault:
+        monkeypatch.setattr(stable, "_run_proposals", free_last_right(stable._run_proposals))
+    rng = random.Random(14)
+    verdicts = {True: 0, False: 0}
+    for trial in range(200):
+        inst = random_stable_instance(rng, 5, rng.choice((0.3, 0.5, 0.8)))
+        if trial % 2:
+            g = inst.graph
+            inst = restrict_instance(inst, [r for r in g.left + g.right if rng.random() < 0.8])
+        limit = rng.choice((4, 24))
+        got = list(stable.against_oracle(inst, limit))
+        assert got == restricted_oracle(inst, limit)
+        for _, _, ok in got:
+            verdicts[ok] += 1
+    assert verdicts[True] > 0
+    assert (verdicts[False] > 0) == fault
+
+
+def test_against_oracle_flags_a_faulty_enumeration(monkeypatch):
+    """The oracle's own cross-checks: deferred acceptance's matching must be
+    among the enumerated stable matchings, and these must share their ends."""
+    g = BipartiteGraph(["u1", "u2"], ["v1", "v2"],
+                       [("u1", "v1"), ("u1", "v2"), ("u2", "v1"), ("u2", "v2")])
+    inst = StableMatchingInstance(
+        g, {"u1": ["v1", "v2"], "u2": ["v2", "v1"], "v1": ["u2", "u1"], "v2": ["u1", "u2"]}
+    )
+    assert all(ok for _, _, ok in stable.against_oracle(inst, 4))
+    enumerate_all = stable._matchings
+    # drop deferred acceptance's answer, positions 0 and 3; the right-optimal one remains
+    monkeypatch.setattr(stable, "_matchings",
+                        lambda *a: (c for c in enumerate_all(*a) if c != (0, 3)))
+    assert [ok for s, _, ok in stable.against_oracle(inst, 4) if s == {"u1", "u2"}] == [False]
+    # add a matching that also uses u2's edge, outside the subset {u1}
+    monkeypatch.setattr(stable, "_matchings",
+                        lambda *a: itertools.chain(enumerate_all(*a), [(0, 3)]))
+    assert [ok for s, _, ok in stable.against_oracle(inst, 4) if s == {"u1"}] == [False]
