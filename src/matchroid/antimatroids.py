@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 
 class NotAntimatroidError(ValueError):
@@ -121,15 +120,25 @@ def _canonical_order(masks: Iterable[int], n: int) -> list[int]:
     return sorted(masks, key=lambda m: (m.bit_count() << n) - int(format(m, fmt)[::-1], 2))
 
 
-@dataclass(frozen=True)
 class AxiomDiagnostic:
     """Outcome of the three antimatroid axiom checks, with witnesses."""
 
-    has_empty: bool
-    accessible: bool
-    accessibility_witness: frozenset[str] | None
-    union_closed: bool
-    union_witness: tuple[frozenset[str], frozenset[str]] | None
+    __slots__ = ("has_empty", "accessible", "accessibility_witness", "union_closed",
+                 "union_witness")
+
+    def __init__(
+        self,
+        has_empty: bool,
+        accessible: bool,
+        accessibility_witness: frozenset[str] | None,
+        union_closed: bool,
+        union_witness: tuple[frozenset[str], frozenset[str]] | None,
+    ):
+        self.has_empty = has_empty
+        self.accessible = accessible
+        self.accessibility_witness = accessibility_witness
+        self.union_closed = union_closed
+        self.union_witness = union_witness
 
     @property
     def ok(self) -> bool:
@@ -233,7 +242,6 @@ def complement_family(family: SetFamily) -> SetFamily:
     return SetFamily.from_masks(family.ground, [full ^ m for m in family._masks])
 
 
-@dataclass(frozen=True)
 class ChainDecoration:
     """Accessibility-derived structure on an antimatroid's nonempty members.
 
@@ -244,10 +252,25 @@ class ChainDecoration:
     decreasing along feasible_order.
     """
 
-    trace: dict[frozenset[str], str]
-    chain_order: dict[frozenset[str], tuple[str, ...]]
-    feasible_order: tuple[frozenset[str], ...]
-    rank: dict[frozenset[str], int]
+    __slots__ = ("trace", "chain_order", "feasible_order", "rank")
+
+    def __init__(
+        self,
+        trace: dict[frozenset[str], str],
+        chain_order: dict[frozenset[str], tuple[str, ...]],
+        feasible_order: tuple[frozenset[str], ...],
+        rank: dict[frozenset[str], int],
+    ):
+        self.trace = trace
+        self.chain_order = chain_order
+        self.feasible_order = feasible_order
+        self.rank = rank
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ChainDecoration):
+            return NotImplemented
+        return (self.trace, self.chain_order, self.feasible_order, self.rank) == (
+            other.trace, other.chain_order, other.feasible_order, other.rank)
 
 
 def build_decoration(family: SetFamily, tie_seed: int | None = None) -> ChainDecoration:

@@ -94,15 +94,13 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    limits = dict(sweep_limit=args.sweep_limit, oracle_limit=args.oracle_limit)
     if args.kind == "stable":
-        failures = fuzz_stable(args.trials, args.seed, sweep_limit=args.sweep_limit)
+        failures = fuzz_stable(args.trials, args.seed, **limits)
     else:
-        failures = fuzz_weighted(
-            args.trials,
-            args.seed,
-            sweep_limit=args.sweep_limit,
-            oracle_limit=args.oracle_limit,
-        )
+        failures, skipped, subsets = fuzz_weighted(args.trials, args.seed, **limits)
+        print(f"oracle limit {args.oracle_limit} skipped {skipped} of {subsets} subsets",
+              file=sys.stderr)
     files = []
     if failures:
         outdir = Path(args.out or "counterexamples")

@@ -5,8 +5,8 @@ induced-family and solver-vs-oracle properties on desk-scale inputs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
+from . import stable, weighted
 from .graphs import DEFAULT_ORACLE_LIMIT, BipartiteGraph
 from .induced import (
     DEFAULT_SWEEP_LIMIT,
@@ -15,7 +15,7 @@ from .induced import (
     enumerate_codomain_sm,
 )
 from .stable import StableMatchingInstance
-from .weighted import WeightedInstance, against_oracle
+from .weighted import WeightedInstance
 
 
 def random_bipartite_graph(
@@ -56,12 +56,20 @@ def random_weighted_instance(
     return WeightedInstance(g, [rng.randint(low, high) for _ in g.edges])
 
 
-@dataclass
 class FuzzFailure:
-    trial: int
-    kind: str
-    reason: str
-    instance: StableMatchingInstance | WeightedInstance
+    __slots__ = ("trial", "kind", "reason", "instance")
+
+    def __init__(
+        self,
+        trial: int,
+        kind: str,
+        reason: str,
+        instance: StableMatchingInstance | WeightedInstance,
+    ):
+        self.trial = trial
+        self.kind = kind
+        self.reason = reason
+        self.instance = instance
 
 
 def fuzz_stable(
@@ -69,8 +77,13 @@ def fuzz_stable(
     seed: int,
     max_side: int = 6,
     sweep_limit: int = DEFAULT_SWEEP_LIMIT,
+    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
 ) -> list[FuzzFailure]:
-    """Random stable instances whose induced family must be an antimatroid."""
+    """Random stable instances: antimatroid verdicts plus solver-vs-oracle.
+
+    stable.against_oracle checks every left subset; one whose edges number
+    more than oracle_limit gets only its blocking test.
+    """
     rng = random.Random(seed)
     failures = []
     for t in range(trials):
@@ -79,6 +92,13 @@ def fuzz_stable(
         ok, diag = check_theorem(report)
         if not ok:
             failures.append(FuzzFailure(t, "stable", diag.reason(), inst))
+            continue
+        for subset, matching, verdict in stable.against_oracle(inst, oracle_limit):
+            if not verdict:
+                reason = (f"matching {sorted(matching.pairs())} fails the oracle "
+                          f"on subset {sorted(subset)}")
+                failures.append(FuzzFailure(t, "stable", reason, inst))
+                break
     return failures
 
 
@@ -88,14 +108,17 @@ def fuzz_weighted(
     max_side: int = 6,
     sweep_limit: int = DEFAULT_SWEEP_LIMIT,
     oracle_limit: int = DEFAULT_ORACLE_LIMIT,
-) -> list[FuzzFailure]:
+) -> tuple[list[FuzzFailure], int, int]:
     """Random weighted instances: antimatroid verdicts plus solver-vs-oracle.
 
-    The oracle comparison runs for every left subset whose restriction stays
-    within the enumeration limit.
+    Returns (failures, skipped, subsets).  weighted.against_oracle compares
+    every left subset whose allowed edges number at most oracle_limit and
+    skips the others.  Over the trials whose comparison ran to the end,
+    subsets counts every left subset and skipped the ones it skipped.
     """
     rng = random.Random(seed)
     failures = []
+    skipped = subsets = 0
     for t in range(trials):
         inst = random_weighted_instance(rng, max_side)
         report = enumerate_codomain_mm(inst, sweep_limit)
@@ -103,10 +126,15 @@ def fuzz_weighted(
         if not ok:
             failures.append(FuzzFailure(t, "weighted", diag.reason(), inst))
             continue
-        for subset, solver, oracle in against_oracle(inst, oracle_limit):
+        compared = 0
+        for subset, solver, oracle in weighted.against_oracle(inst, oracle_limit):
+            compared += 1
             if solver != oracle:
                 reason = (f"solver {sorted(solver.pairs())} != oracle "
                           f"{sorted(oracle.pairs())} on subset {sorted(subset)}")
                 failures.append(FuzzFailure(t, "weighted", reason, inst))
                 break
-    return failures
+        else:
+            subsets += 1 << len(inst.graph.left)
+            skipped += (1 << len(inst.graph.left)) - compared
+    return failures, skipped, subsets

@@ -15,7 +15,6 @@ it.  Callers score or test the tuples and build a Matching only for answers.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 
 DEFAULT_ORACLE_LIMIT = 24
 
@@ -91,13 +90,6 @@ class BipartiteGraph:
     def has_vertex(self, r: str) -> bool:
         return r in self._left_pos or r in self._right_pos
 
-    def is_left(self, r: str) -> bool:
-        if r in self._left_pos:
-            return True
-        if r in self._right_pos:
-            return False
-        raise UnknownVertexError(f"unknown vertex {r!r}")
-
     def neighbors(self, r: str) -> tuple[str, ...]:
         """Neighbors of r, in edge-index order."""
         if r in self._left_pos:
@@ -116,20 +108,11 @@ class BipartiteGraph:
 
     # -- edge queries --------------------------------------------------------
 
-    def has_edge_id(self, eid: int) -> bool:
-        return eid in self._pos_of_id
-
     def endpoints(self, eid: int) -> tuple[str, str]:
         try:
             return self.edges[self._pos_of_id[eid]]
         except KeyError:
             raise ValueError(f"unknown edge id {eid!r}") from None
-
-    def edge_id_of(self, pair: tuple[str, str]) -> int:
-        for pos, e in enumerate(self.edges):
-            if e == tuple(pair):
-                return self.edge_ids[pos]
-        raise ValueError(f"not an edge: {tuple(pair)!r}")
 
     def restrict(self, x: Iterable[str]) -> "BipartiteGraph":
         """Induced subgraph on the vertex set x; surviving edges keep their ids."""
@@ -237,13 +220,15 @@ def is_matching(graph: BipartiteGraph, edge_ids: Iterable[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Component:
     """One connected component of a symmetric difference of two matchings."""
 
-    kind: str  # "path" or "cycle"
-    edge_ids: tuple[int, ...]
-    endpoints: tuple[str, ...]  # the degree-1 vertices; empty for cycles
+    __slots__ = ("kind", "edge_ids", "endpoints")
+
+    def __init__(self, kind: str, edge_ids: tuple[int, ...], endpoints: tuple[str, ...]):
+        self.kind = kind  # "path" or "cycle"
+        self.edge_ids = edge_ids
+        self.endpoints = endpoints  # the degree-1 vertices; empty for cycles
 
 
 def _as_matching(graph: BipartiteGraph, m) -> Matching:

@@ -14,8 +14,6 @@ so it is kept only to reproduce that discrepancy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .antimatroids import (
     ChainDecoration,
     NotAntimatroidError,
@@ -33,15 +31,24 @@ MAX_ROUNDTRIP_MEMBERS = 64
 FORMULAS = ("corrected", "literal")
 
 
-@dataclass
 class RepresentationBundle:
     """A built instance together with the structure it was built from."""
 
-    source: SetFamily
-    decoration: ChainDecoration
-    instance: StableMatchingInstance | WeightedInstance
-    left_labels: dict[frozenset[str], str]
-    kind: str
+    __slots__ = ("source", "decoration", "instance", "left_labels", "kind")
+
+    def __init__(
+        self,
+        source: SetFamily,
+        decoration: ChainDecoration,
+        instance: StableMatchingInstance | WeightedInstance,
+        left_labels: dict[frozenset[str], str],
+        kind: str,
+    ):
+        self.source = source
+        self.decoration = decoration
+        self.instance = instance
+        self.left_labels = left_labels
+        self.kind = kind
 
 
 def _prepare_decoration(

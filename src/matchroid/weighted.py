@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import (
@@ -70,13 +69,22 @@ class WeightFunction:
         return f"WeightFunction({list(self.values)!r})"
 
 
-@dataclass
 class _Dense:
-    edge_left: list[int]
-    edge_right: list[int]
-    perturbed: list[int]  # by edge position
-    desc_positions: list[int]  # positions sorted by descending true weight
-    superincreasing: bool
+    __slots__ = ("edge_left", "edge_right", "perturbed", "desc_positions", "superincreasing")
+
+    def __init__(
+        self,
+        edge_left: list[int],
+        edge_right: list[int],
+        perturbed: list[int],
+        desc_positions: list[int],
+        superincreasing: bool,
+    ):
+        self.edge_left = edge_left
+        self.edge_right = edge_right
+        self.perturbed = perturbed  # by edge position
+        self.desc_positions = desc_positions  # positions sorted by descending true weight
+        self.superincreasing = superincreasing
 
 
 class WeightedInstance:

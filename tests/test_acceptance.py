@@ -114,7 +114,7 @@ def test_criterion_03_stable_property_suite():
 
 def test_criterion_04_weighted_property_suite():
     t0 = time.perf_counter()
-    failures = fuzz_weighted(500, seed=20250811, max_side=6)
+    failures, _, _ = fuzz_weighted(500, seed=20250811, max_side=6)
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 60.0
     _line(

@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,38 @@ def test_fuzz_serializes_counterexamples(capsys, tmp_path, monkeypatch):
     replay = json.loads(Path(path).read_text())
     assert replay["edges"] == [["u", "v"]]
     assert replay["_fuzz_reason"] == "forced"
+
+
+def test_fuzz_stable_writes_an_oracle_counterexample(capsys, tmp_path, monkeypatch):
+    from matchroid import stable
+    from test_golden import free_right_0
+
+    monkeypatch.setattr(stable, "_run_proposals", free_right_0(stable._run_proposals))
+    code, out = run(capsys, "fuzz", "--kind", "stable", "--trials", "3", "--seed", "3",
+                    "--out", tmp_path)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["failures"] == len(doc["counterexample_files"]) > 0
+    replay = json.loads(Path(doc["counterexample_files"][0]).read_text())
+    assert "fails the oracle on subset" in replay["_fuzz_reason"]
+
+
+def test_fuzz_weighted_reports_skipped_subsets_on_stderr(capsys):
+    from matchroid.fuzz import random_weighted_instance
+
+    argv = ["fuzz", "--kind", "weighted", "--trials", "3", "--seed", "6"]
+    assert cli.main(argv) == 0
+    full = capsys.readouterr()
+    assert cli.main(argv + ["--oracle-limit", "0"]) == 0
+    limited = capsys.readouterr()
+    assert limited.out == full.out
+    rng = random.Random(6)
+    graphs = [random_weighted_instance(rng).graph for _ in range(3)]
+    subsets = sum(1 << len(g.left) for g in graphs)
+    # with limit 0 only the subsets of edgeless left vertices are compared
+    compared = sum(1 << sum(not adj for adj in g._adj_left) for g in graphs)
+    assert f"oracle limit 24 skipped 0 of {subsets} subsets" in full.err
+    assert f"oracle limit 0 skipped {subsets - compared} of {subsets} subsets" in limited.err
 
 
 def test_oracle_check_weighted(capsys):

@@ -285,3 +285,23 @@ def test_against_oracle_flags_a_faulty_enumeration(monkeypatch):
     monkeypatch.setattr(stable, "_matchings",
                         lambda *a: itertools.chain(enumerate_all(*a), [(0, 3)]))
     assert [ok for s, _, ok in stable.against_oracle(inst, 4) if s == {"u1"}] == [False]
+
+
+def test_every_stable_instance_on_k23_induces_an_antimatroid():
+    """Every subgraph of K_{2,3} with every ranking of every vertex's
+    neighbors: the induced family is an antimatroid and every left subset
+    passes stable.against_oracle."""
+    from matchroid.induced import check_theorem, enumerate_codomain_sm
+
+    left, right = ["u1", "u2"], ["v1", "v2", "v3"]
+    pairs = [(u, v) for u in left for v in right]
+    instances = 0
+    for mask in range(1 << len(pairs)):
+        g = BipartiteGraph(left, right, [e for i, e in enumerate(pairs) if mask >> i & 1])
+        rankings = [itertools.permutations(g.neighbors(r)) for r in left + right]
+        for orders in itertools.product(*rankings):
+            inst = StableMatchingInstance(g, dict(zip(left + right, orders)))
+            instances += 1
+            assert check_theorem(enumerate_codomain_sm(inst))[0], orders
+            assert all(ok for _, _, ok in stable.against_oracle(inst)), orders
+    assert instances == 847
