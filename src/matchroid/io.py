@@ -242,10 +242,6 @@ def family_to_json(f: SetFamily) -> dict:
     return {"ground": list(f.ground), "sets": list(map(_decoder(f.ground), f._sorted_masks))}
 
 
-def member_key(f: SetFamily, member: frozenset[str]) -> str:
-    return ",".join(f.sorted_member(member))
-
-
 def diagnostic_to_json(diag: AxiomDiagnostic) -> dict:
     return {
         "has_empty_set": diag.has_empty,

@@ -51,11 +51,9 @@ class RepresentationBundle:
         self.kind = kind
 
 
-def _prepare_decoration(
-    family: SetFamily, deco: ChainDecoration | None, tie_seed: int | None
-) -> ChainDecoration:
+def _prepare_decoration(family: SetFamily, deco: ChainDecoration | None) -> ChainDecoration:
     if deco is None:
-        return build_decoration(family, tie_seed)  # checks the axioms itself
+        return build_decoration(family)  # checks the axioms itself
     ok, diag = is_antimatroid(family)
     if not ok:
         raise NotAntimatroidError(diag)
@@ -114,21 +112,19 @@ def _bundle(
 def represent_stable(
     family: SetFamily,
     deco: ChainDecoration | None = None,
-    tie_seed: int | None = None,
 ) -> RepresentationBundle:
     """A stable instance whose induced codomain equals the family.
 
     Each left vertex ranks its elements in chain order; each ground element
     ranks the members containing it by the feasible order.
     """
-    return _bundle(family, _prepare_decoration(family, deco, tie_seed), "stable")
+    return _bundle(family, _prepare_decoration(family, deco), "stable")
 
 
 def represent_weighted(
     family: SetFamily,
     deco: ChainDecoration | None = None,
     formula: str = "corrected",
-    tie_seed: int | None = None,
 ) -> RepresentationBundle:
     """A weighted instance whose induced codomain equals the family.
 
@@ -137,7 +133,7 @@ def represent_weighted(
     members, so higher-ranked members always dominate.  Within a block the
     "corrected" layout decreases along the chain order; "literal" increases.
     """
-    return _bundle(family, _prepare_decoration(family, deco, tie_seed), "weighted", formula)
+    return _bundle(family, _prepare_decoration(family, deco), "weighted", formula)
 
 
 def _member_chain_check(bundle: RepresentationBundle) -> bool:
@@ -161,7 +157,6 @@ def verify_roundtrip(
     family: SetFamily,
     kind: str,
     formula: str = "corrected",
-    tie_seed: int | None = None,
     sweep_limit: int = DEFAULT_SWEEP_LIMIT,
     max_members: int = MAX_ROUNDTRIP_MEMBERS,
 ) -> tuple[bool, dict]:
@@ -172,7 +167,7 @@ def verify_roundtrip(
     """
     if kind not in ("stable", "weighted"):
         raise ValueError(f"kind must be 'stable' or 'weighted', got {kind!r}")
-    deco = build_decoration(family, tie_seed)  # not an antimatroid: raised before the size limit
+    deco = build_decoration(family)  # not an antimatroid: raised before the size limit
     if len(family) > max_members:
         raise ValueError(f"size limit exceeded: {len(family)} members > {max_members}")
     bundle = _bundle(family, deco, kind, formula)

@@ -55,6 +55,12 @@ def small_catalogue():
 
 
 @pytest.fixture(scope="module")
+def five_element_slice():
+    """Every 200th antimatroid on 5 elements that has at most 14 members."""
+    return [fam for fam in enumerate_antimatroids(tuple("abcde"))[::200] if len(fam) <= 14]
+
+
+@pytest.fixture(scope="module")
 def fuzz_corpus():
     corpus = []
     seed = 0
@@ -125,10 +131,10 @@ def test_criterion_04_weighted_property_suite():
     )
 
 
-def test_criterion_05_stable_roundtrips(small_catalogue, fuzz_corpus):
+def test_criterion_05_stable_roundtrips(small_catalogue, five_element_slice, fuzz_corpus):
     t0 = time.perf_counter()
     failures = [
-        fam for fam in small_catalogue + fuzz_corpus
+        fam for fam in small_catalogue + five_element_slice + fuzz_corpus
         if not verify_roundtrip(fam, "stable")[0]
     ]
     elapsed = time.perf_counter() - t0
@@ -136,15 +142,16 @@ def test_criterion_05_stable_roundtrips(small_catalogue, fuzz_corpus):
     _line(
         5,
         ok,
-        f"{len(small_catalogue)} exhaustive + {len(fuzz_corpus)} fuzzed stable "
+        f"{len(small_catalogue)} exhaustive + {len(five_element_slice)} 5-element + "
+        f"{len(fuzz_corpus)} fuzzed stable "
         f"roundtrips, {len(failures)} failures, {elapsed:.1f}s",
     )
 
 
-def test_criterion_06_weighted_roundtrips(small_catalogue, fuzz_corpus):
+def test_criterion_06_weighted_roundtrips(small_catalogue, five_element_slice, fuzz_corpus):
     t0 = time.perf_counter()
     failures = [
-        fam for fam in small_catalogue + fuzz_corpus
+        fam for fam in small_catalogue + five_element_slice + fuzz_corpus
         if not verify_roundtrip(fam, "weighted", formula="corrected")[0]
     ]
     elapsed = time.perf_counter() - t0
@@ -152,7 +159,8 @@ def test_criterion_06_weighted_roundtrips(small_catalogue, fuzz_corpus):
     _line(
         6,
         ok,
-        f"{len(small_catalogue)} exhaustive + {len(fuzz_corpus)} fuzzed weighted "
+        f"{len(small_catalogue)} exhaustive + {len(five_element_slice)} 5-element + "
+        f"{len(fuzz_corpus)} fuzzed weighted "
         f"roundtrips, {len(failures)} failures, {elapsed:.1f}s",
     )
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -147,13 +148,6 @@ def test_build_decoration_rejects_non_antimatroid():
         build_decoration(bad)
 
 
-def test_build_decoration_seed_determinism():
-    fam = random_antimatroid(5, density_seed=99)
-    assert build_decoration(fam, tie_seed=4) == build_decoration(fam, tie_seed=4)
-    for seed in (None, 0, 1, 2):
-        validate_decoration(fam, build_decoration(fam, tie_seed=seed))
-
-
 def test_complement_family():
     fam = SetFamily(["a", "b"], [[], ["a"], ["a", "b"]])
     comp = complement_family(fam)
@@ -202,6 +196,18 @@ def test_random_antimatroid_always_valid():
         random_antimatroid(7, 0)
 
 
+def test_random_antimatroid_draws_are_pinned():
+    # a change to the draw sequence, or to the closure, changes this digest
+    digest = hashlib.sha256()
+    for size in range(7):
+        for seed in range(3000):
+            fam = random_antimatroid(size, seed)
+            digest.update(repr((fam.ground, fam._sorted_masks)).encode())
+    assert digest.hexdigest() == (
+        "8fca5128d651fb5739ba2dc3b7f89da7c9988e9f364f32aae5a058ee65804efd"
+    )
+
+
 def test_random_antimatroid_outputs_on_two_elements():
     # every draw must land in the full catalogue for ground size 2
     catalogue = {frozenset(f.members) for f in enumerate_antimatroids(("a", "b"))}
@@ -212,15 +218,40 @@ def test_random_antimatroid_outputs_on_two_elements():
 
 
 def test_enumerate_antimatroids_counts():
-    # labeled antimatroids with full support number 1, 1, 3, 22, 485
+    # labeled antimatroids with full support number 1, 1, 3, 22, 485, 59386
     # (convex geometries, OEIS A224913); summing over all supports gives
     # these totals
     assert len(enumerate_antimatroids(())) == 1
     assert len(enumerate_antimatroids(("a",))) == 2
     assert len(enumerate_antimatroids(("a", "b"))) == 6
     assert len(enumerate_antimatroids(("a", "b", "c"))) == 35
+    five = enumerate_antimatroids(tuple("abcde"))
+    assert len(five) == 62067
+    assert sum(frozenset("abcde") in fam for fam in five) == 59386
     with pytest.raises(ValueError):
-        enumerate_antimatroids(("a", "b", "c", "d", "e"))
+        enumerate_antimatroids(tuple("abcdef"))
+
+
+def filtered_catalogue(n):
+    """Every family code over n elements (bit s set when subset mask s is a
+    member) whose members hold the empty set, are accessible and are closed
+    under pairwise union, in code order, as lists of member masks."""
+    out = []
+    for code in range(1, 1 << (1 << n), 2):
+        masks = [s for s in range(1 << n) if code >> s & 1]
+        if all(
+            any(code >> (s ^ 1 << i) & 1 for i in range(n) if s >> i & 1) for s in masks[1:]
+        ) and all(code >> (x | y) & 1 for x in masks for y in masks):
+            out.append(masks)
+    return out
+
+
+def test_enumerate_antimatroids_equals_a_filter_of_every_family():
+    for n in range(5):
+        ground = tuple("abcd"[:n])
+        fams = enumerate_antimatroids(ground)
+        assert all(fam.ground == ground for fam in fams)
+        assert [sorted(fam._masks) for fam in fams] == filtered_catalogue(n)
 
 
 def test_enumerate_antimatroids_all_valid():
@@ -250,6 +281,14 @@ def test_validate_decoration_rejects_wrong_family():
     deco = build_decoration(fam1)
     with pytest.raises(ValueError):
         validate_decoration(fam2, deco)
+
+
+def test_validate_decoration_rejects_swapped_ranks():
+    deco = build_decoration(INDUCED_3X3)
+    x, y = deco.feasible_order[1], deco.feasible_order[2]
+    deco.rank[x], deco.rank[y] = deco.rank[y], deco.rank[x]
+    with pytest.raises(ValueError, match="rank"):
+        validate_decoration(INDUCED_3X3, deco)
 
 
 def test_canonical_order_is_cardinality_then_positions():

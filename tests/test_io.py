@@ -105,12 +105,6 @@ def test_set_family_repeats_are_schema_errors(sets, message):
         io.parse_set_family({"ground": ["a", "b"], "sets": sets})
 
 
-def test_member_key():
-    fam = SetFamily(["v2", "v1"], [[], ["v1", "v2"]])
-    assert io.member_key(fam, frozenset()) == ""
-    assert io.member_key(fam, frozenset({"v1", "v2"})) == "v2,v1"
-
-
 def test_report_json(prefs_3x3):
     report = enumerate_codomain_sm(prefs_3x3)
     doc = io.report_to_json(report)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -287,21 +288,30 @@ def test_against_oracle_flags_a_faulty_enumeration(monkeypatch):
     assert [ok for s, _, ok in stable.against_oracle(inst, 4) if s == {"u1"}] == [False]
 
 
-def test_every_stable_instance_on_k23_induces_an_antimatroid():
-    """Every subgraph of K_{2,3} with every ranking of every vertex's
-    neighbors: the induced family is an antimatroid and every left subset
-    passes stable.against_oracle."""
+def check_every_stable_instance(left, right, stride):
+    """Walk every subgraph of the complete graph on left x right with every
+    ranking of every vertex's neighbors; on every stride-th instance, the
+    induced family is an antimatroid and every left subset passes
+    stable.against_oracle.  Returns the number of instances walked."""
     from matchroid.induced import check_theorem, enumerate_codomain_sm
 
-    left, right = ["u1", "u2"], ["v1", "v2", "v3"]
     pairs = [(u, v) for u in left for v in right]
     instances = 0
     for mask in range(1 << len(pairs)):
         g = BipartiteGraph(left, right, [e for i, e in enumerate(pairs) if mask >> i & 1])
-        rankings = [itertools.permutations(g.neighbors(r)) for r in left + right]
-        for orders in itertools.product(*rankings):
+        rankings = [list(itertools.permutations(g.neighbors(r))) for r in left + right]
+        first = -instances % stride
+        for orders in itertools.islice(itertools.product(*rankings), first, None, stride):
             inst = StableMatchingInstance(g, dict(zip(left + right, orders)))
-            instances += 1
             assert check_theorem(enumerate_codomain_sm(inst))[0], orders
             assert all(ok for _, _, ok in stable.against_oracle(inst)), orders
-    assert instances == 847
+        instances += math.prod(map(len, rankings))
+    return instances
+
+
+def test_every_stable_instance_on_k23_induces_an_antimatroid():
+    assert check_every_stable_instance(["u1", "u2"], ["v1", "v2", "v3"], 1) == 847
+
+
+def test_every_50th_stable_instance_on_k33_induces_an_antimatroid():
+    assert check_every_stable_instance(["u1", "u2", "u3"], ["v1", "v2", "v3"], 50) == 134986
