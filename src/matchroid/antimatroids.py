@@ -9,7 +9,8 @@ as frozensets of element ids.
 from __future__ import annotations
 
 import random
-from collections.abc import Container, Iterable, Sequence
+from collections.abc import Callable, Container, Iterable, Sequence
+from functools import lru_cache
 
 
 class NotAntimatroidError(ValueError):
@@ -105,10 +106,25 @@ class SetFamily:
         return sorted(member, key=self._pos.get)
 
 
+@lru_cache(maxsize=64)
+def _canonical_key(n: int) -> Callable[[int], int]:
+    """The sort key of n-bit masks: popcount << n minus the n-bit reversal,
+    read from a table for n <= 10."""
+    width = (n + 7) // 8
+    pad = 8 * width - n
+    reversed_byte = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+    from_bytes = int.from_bytes
+
+    def key(m: int) -> int:
+        reversed_m = from_bytes(m.to_bytes(width, "little").translate(reversed_byte), "big")
+        return (m.bit_count() << n) - (reversed_m >> pad)
+
+    return list(map(key, range(1 << n))).__getitem__ if n <= 10 else key
+
+
 def _canonical_order(masks: Iterable[int], n: int) -> list[int]:
     """Masks over n bits sorted by (popcount, positions of the set bits)."""
-    fmt = f"0{n}b"
-    return sorted(masks, key=lambda m: (m.bit_count() << n) - int(format(m, fmt)[::-1], 2))
+    return sorted(masks, key=_canonical_key(n))
 
 
 class AxiomDiagnostic:

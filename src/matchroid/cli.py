@@ -28,11 +28,12 @@ from .representation import represent_stable, represent_weighted, verify_roundtr
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = io.dumps(doc) + "\n"
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fp:
+            io.dump(doc, fp)
+            fp.write("\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(io.dumps(doc) + "\n")
 
 
 def _load_instance(path: str, kind: str):

@@ -293,6 +293,13 @@ def dumps(doc) -> str:
     return "".join(out)
 
 
+def dump(doc, fp) -> None:
+    """Write dumps(doc) to the text file fp piece by piece, never as one string."""
+    out: list[str] = []
+    _dump(doc, "\n", out)
+    fp.writelines(out)
+
+
 def _dump(obj, newline: str, out: list[str]) -> None:
     if isinstance(obj, str):
         out.append(_encode_str(obj))

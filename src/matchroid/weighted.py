@@ -16,11 +16,23 @@ restriction, which keeps the tie-break stable under restriction.
 
 The solver grows the matching by successive maximum-gain augmenting paths
 (Bellman-Ford style, exact integers), stopping when no path has positive
-gain; this is exact for any sign pattern.  Instances whose weights are
-positive, distinct, and superincreasing (each exceeding the sum of all
-smaller ones, e.g. distinct powers of two) take a greedy fast path instead,
-which is optimal there because the largest remaining weight always dominates
-the rest combined.  An exhaustive oracle, oracle_max_weight, checks both
+gain; this is exact for any sign pattern.  Cost model: _dense() builds,
+once per instance, each left vertex's (pos, u, v, perturbed weight) tuples,
+and a solve joins the allowed vertices' tuples once, so a pass walks only
+the k allowed edges and a relaxation unpacks one tuple.  A solve is
+(augmentations + 1) searches of at most n_left + n_right + 2 passes of k
+relaxations.  The passes stay full passes in one fixed order, repeated until
+one changes nothing: that needs no work list, the labels are exact
+longest-path values once they stop, and an alternating path's length bounds
+their number (the max_rounds cap).  The perturbed optimum is unique, so the
+relaxation order does not change the answer.  A queue-driven search or one
+insertion step per added left vertex would relax fewer edges; each is a
+larger change, measured on its own (ROADMAP items 1 and 3).
+
+Instances whose weights are positive, distinct, and superincreasing (each
+exceeding the sum of all smaller ones, e.g. distinct powers of two) take a
+greedy fast path instead, which is optimal there because the largest
+remaining weight always dominates the rest combined.  An exhaustive oracle, oracle_max_weight, checks both
 routes: against_oracle is the one loop that compares them per subset (the
 stable side has its own, stable.against_oracle).
 """
@@ -30,6 +42,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import chain, compress
 
 from .graphs import (
     DEFAULT_ORACLE_LIMIT,
@@ -70,19 +83,23 @@ class WeightFunction:
 
 
 class _Dense:
-    __slots__ = ("edge_left", "edge_right", "perturbed", "desc_positions", "superincreasing")
+    __slots__ = ("edge_left", "edge_right", "perturbed", "edges_by_left", "desc_positions",
+                 "superincreasing")
 
     def __init__(
         self,
         edge_left: list[int],
         edge_right: list[int],
         perturbed: list[int],
+        edges_by_left: list[list[tuple[int, int, int, int]]],
         desc_positions: list[int],
         superincreasing: bool,
     ):
         self.edge_left = edge_left
         self.edge_right = edge_right
         self.perturbed = perturbed  # by edge position
+        # per dense left index, its edges' (pos, u, v, perturbed) in position order
+        self.edges_by_left = edges_by_left
         self.desc_positions = desc_positions  # positions sorted by descending true weight
         self.superincreasing = superincreasing
 
@@ -126,6 +143,10 @@ class WeightedInstance:
                 (scaled[pos] << shift) - (1 << g.edge_ids[pos])
                 for pos in range(len(g.edges))
             ]
+            eL, eR = g._edge_left, g._edge_right
+            by_left: list[list[tuple[int, int, int, int]]] = [[] for _ in g.left]
+            for pos, p in enumerate(perturbed):
+                by_left[eL[pos]].append((pos, eL[pos], eR[pos], p))
             desc = sorted(
                 range(len(g.edges)), key=lambda pos: scaled[pos], reverse=True
             )
@@ -137,9 +158,7 @@ class WeightedInstance:
                     superinc = False
                     break
                 total += w
-            self._dense_cache = _Dense(
-                list(g._edge_left), list(g._edge_right), perturbed, desc, superinc
-            )
+            self._dense_cache = _Dense(list(eL), list(eR), perturbed, by_left, desc, superinc)
         return self._dense_cache
 
 
@@ -163,9 +182,9 @@ def _solve_greedy(dense: _Dense, allowed: list[bool], n_right: int, edge_ids) ->
 
 
 def _solve_augmenting(dense: _Dense, allowed: list[bool], n_right: int, edge_ids) -> list[int]:
-    eL, eR, P = dense.edge_left, dense.edge_right, dense.perturbed
+    eL, eR = dense.edge_left, dense.edge_right
     n_left = len(allowed)
-    m = len(eL)
+    edges = list(chain.from_iterable(compress(dense.edges_by_left, allowed)))
     match_l = [-1] * n_left  # edge position or -1
     match_r = [-1] * n_right
     max_rounds = n_left + n_right + 2
@@ -183,15 +202,11 @@ def _solve_augmenting(dense: _Dense, allowed: list[bool], n_right: int, edge_ids
             rounds += 1
             if rounds > max_rounds:
                 raise RuntimeError("augmenting-path search did not converge")
-            for pos in range(m):
-                u = eL[pos]
-                if not allowed[u]:
-                    continue
-                v = eR[pos]
+            for pos, u, v, p in edges:
                 if match_r[v] == pos:
                     dv = dist_r[v]
                     if dv is not None:
-                        cand = dv - P[pos]
+                        cand = dv - p
                         du = dist_l[u]
                         if du is None or cand > du:
                             dist_l[u] = cand
@@ -199,7 +214,7 @@ def _solve_augmenting(dense: _Dense, allowed: list[bool], n_right: int, edge_ids
                 else:
                     du = dist_l[u]
                     if du is not None:
-                        cand = du + P[pos]
+                        cand = du + p
                         dv = dist_r[v]
                         if dv is None or cand > dv:
                             dist_r[v] = cand

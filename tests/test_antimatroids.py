@@ -305,3 +305,12 @@ def test_canonical_order_is_cardinality_then_positions():
             members = [[ground[i] for i in range(n) if m >> i & 1] for m in masks]
             assert SetFamily(ground, members)._sorted_masks == want
 
+
+def test_canonical_order_on_wide_grounds():
+    # grounds of several bytes, whole and partial, drawn masks
+    rng = random.Random(9)
+    for n in (15, 16, 17, 24, 31, 40, 65):
+        ground = [f"e{i}" for i in range(n)]
+        masks = {rng.getrandbits(n) for _ in range(300)} | {0, (1 << n) - 1, 1, 1 << (n - 1)}
+        want = sorted(masks, key=lambda m: (m.bit_count(), [i for i in range(n) if m >> i & 1]))
+        assert SetFamily.from_masks(ground, masks)._sorted_masks == want

@@ -283,3 +283,13 @@ def test_non_schema_weight_string_exits_2(capsys, tmp_path, weight):
     ))
     assert cli.main(["induce", str(path), "--kind", "weighted"]) == 2
     assert "cannot parse weight" in capsys.readouterr().err
+
+
+def test_out_file_holds_the_stdout_bytes(capsys, tmp_path):
+    for name, kind in (("prefs_3x3.json", "stable"), ("weights_3x2.json", "weighted")):
+        argv = ["induce", DATA / name, "--kind", kind]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        out_file = tmp_path / f"{kind}.json"
+        assert run(capsys, *argv, "--out", out_file) == (0, "")
+        assert out_file.read_bytes() == out.encode("utf-8")

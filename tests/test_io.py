@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from io import StringIO
 
 import pytest
 
@@ -145,6 +146,15 @@ def test_dumps_equals_json_dumps_indented():
     for _ in range(3000):
         doc = random_json_value(rng, rng.randint(0, 5))
         assert io.dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_dump_writes_the_dumps_text():
+    rng = random.Random(8)
+    for _ in range(500):
+        doc = random_json_value(rng, rng.randint(0, 5))
+        fp = StringIO()
+        io.dump(doc, fp)
+        assert fp.getvalue() == io.dumps(doc)
 
 
 def test_weight_strings_are_strict():

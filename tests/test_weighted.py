@@ -9,6 +9,7 @@ from matchroid.graphs import BipartiteGraph, Matching, OracleLimitError
 from matchroid.weighted import (
     WeightedInstance,
     WeightFunction,
+    _Dense,
     _solve_augmenting,
     choice_function_mm,
     induced_map_mm,
@@ -231,3 +232,136 @@ def test_oracle_limit_counts_the_allowed_edges():
         oracle_max_weight(inst, left)
     with pytest.raises(OracleLimitError, match=r"^oracle limit exceeded: 10 edges > 9$"):
         oracle_max_weight(inst, left[:2], limit=9)
+
+
+# The solver as it stood when every pass walked all m edges, tested allowed[u]
+# and indexed three arrays per edge; kept verbatim as the reference for the
+# per-left-vertex edge tuples the solver scans now.
+def reference_solve_augmenting(dense: _Dense, allowed: list[bool], n_right: int, edge_ids) -> list[int]:
+    eL, eR, P = dense.edge_left, dense.edge_right, dense.perturbed
+    n_left = len(allowed)
+    m = len(eL)
+    match_l = [-1] * n_left  # edge position or -1
+    match_r = [-1] * n_right
+    max_rounds = n_left + n_right + 2
+    while True:
+        dist_l: list[int | None] = [None] * n_left
+        dist_r: list[int | None] = [None] * n_right
+        parent_r = [-1] * n_right
+        for u in range(n_left):
+            if allowed[u] and match_l[u] == -1:
+                dist_l[u] = 0
+        changed = True
+        rounds = 0
+        while changed:
+            changed = False
+            rounds += 1
+            if rounds > max_rounds:
+                raise RuntimeError("augmenting-path search did not converge")
+            for pos in range(m):
+                u = eL[pos]
+                if not allowed[u]:
+                    continue
+                v = eR[pos]
+                if match_r[v] == pos:
+                    dv = dist_r[v]
+                    if dv is not None:
+                        cand = dv - P[pos]
+                        du = dist_l[u]
+                        if du is None or cand > du:
+                            dist_l[u] = cand
+                            changed = True
+                else:
+                    du = dist_l[u]
+                    if du is not None:
+                        cand = du + P[pos]
+                        dv = dist_r[v]
+                        if dv is None or cand > dv:
+                            dist_r[v] = cand
+                            parent_r[v] = pos
+                            changed = True
+        best_v = -1
+        best_gain = 0
+        for v in range(n_right):
+            if match_r[v] == -1 and dist_r[v] is not None and dist_r[v] > best_gain:
+                best_gain = dist_r[v]
+                best_v = v
+        if best_v < 0:
+            break
+        v = best_v
+        while True:
+            pos = parent_r[v]
+            u = eL[pos]
+            prev = match_l[u]
+            match_l[u] = pos
+            match_r[v] = pos
+            if prev == -1:
+                break
+            v = eR[prev]
+    return [edge_ids[pos] for pos in match_l if pos >= 0]
+
+
+def assert_solver_equals_reference(inst):
+    """_solve_augmenting returns the reference's list, order included, on
+    every left subset."""
+    g = inst.graph
+    dense = inst._dense()
+    n, n_right = len(g.left), len(g.right)
+    for mask in range(1 << n):
+        allowed = [mask >> i & 1 == 1 for i in range(n)]
+        expected = reference_solve_augmenting(dense, allowed, n_right, g.edge_ids)
+        assert _solve_augmenting(dense, allowed, n_right, g.edge_ids) == expected, (g, mask)
+
+
+def test_solver_equals_reference_on_12x12_instances():
+    # the induce-weighted benchmark's shape: 12x12, 58 edges, weights -50..50
+    rng = random.Random(2020)
+    left = [f"u{i}" for i in range(12)]
+    right = [f"v{j}" for j in range(12)]
+    for _ in range(20):
+        edges = rng.sample([(u, v) for u in left for v in right], 58)
+        inst = WeightedInstance(BipartiteGraph(left, right, edges),
+                                [rng.randint(-50, 50) for _ in edges])
+        assert not inst._dense().superincreasing
+        assert_solver_equals_reference(inst)
+
+
+def test_solver_equals_reference_on_tie_heavy_instances():
+    # weights -5..5, so true weights tie often; edge ids that are not
+    # positions; isolated left vertices, the last one included
+    rng = random.Random(2021)
+    isolated_last = 0
+    for _ in range(150):
+        left = [f"u{i}" for i in range(rng.randint(1, 6))]
+        right = [f"v{j}" for j in range(rng.randint(1, 5))]
+        isolated = set(rng.sample(left, rng.randint(0, len(left) // 2)))
+        edges = [(u, v) for u in left if u not in isolated for v in right if rng.random() < 0.6]
+        rng.shuffle(edges)
+        ids = rng.sample(range(3 * len(edges) + 1), len(edges))
+        g = BipartiteGraph(left, right, edges, ids)
+        inst = WeightedInstance(g, [rng.randint(-5, 5) for _ in edges])
+        dense = inst._dense()
+        assert len(dense.edges_by_left) == len(left)
+        isolated_last += left[-1] in isolated
+        assert_solver_equals_reference(inst)
+    assert isolated_last >= 10
+
+
+def test_solver_reads_only_the_allowed_vertices_edges():
+    # a disallowed vertex is unreachable, so scanning its edges would not
+    # change the answer, only the cost: poison them to see that they are skipped
+    rng = random.Random(2022)
+    for _ in range(20):
+        inst = random_weighted_instance(rng, max_side=5, low=-5, high=5)
+        g = inst.graph
+        dense = inst._dense()
+        n, n_right = len(g.left), len(g.right)
+        for mask in range(1 << n):
+            allowed = [mask >> i & 1 == 1 for i in range(n)]
+            poisoned = _Dense(
+                dense.edge_left, dense.edge_right, dense.perturbed,
+                [edges if ok else [None] for ok, edges in zip(allowed, dense.edges_by_left)],
+                dense.desc_positions, dense.superincreasing,
+            )
+            assert _solve_augmenting(poisoned, allowed, n_right, g.edge_ids) == \
+                _solve_augmenting(dense, allowed, n_right, g.edge_ids)
