@@ -62,6 +62,10 @@ class BipartiteGraph:
             self.edge_ids = tuple(edge_ids)
             if len(self.edge_ids) != len(self.edges):
                 raise ValueError("edge_ids length does not match edge list")
+            for eid in self.edge_ids:
+                # the weighted tie-break shifts by the ids: 2**edge_id
+                if type(eid) is not int or eid < 0:
+                    raise ValueError(f"edge id {eid!r} is not a non-negative int")
             if len(set(self.edge_ids)) != len(self.edge_ids):
                 raise ValueError("duplicate edge id")
 

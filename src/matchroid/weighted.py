@@ -6,20 +6,37 @@ Weights are exact (int or Fraction; floats are rejected).  Instances need
 not have distinct matching weights: the optimum is made unique by maximizing
 the perturbed weight
 
-    w'(e) = w(e) * 2**(m + 1) - 2**edge_id        (m = number of edges)
+    w'(e) = w(e) * 2**s - 2**edge_id        (s = max(edge_ids) + 2)
 
 over matchings, after scaling all weights to integers by their common
-denominator.  The perturbation maximizes the true weight first and, among
-weight ties, minimizes the edge-id bitmask value, so exactly one matching is
-optimal for every instance and every left-vertex subset.  Edge ids survive
-restriction, which keeps the tie-break stable under restriction.
+denominator.  A matching's id terms sum to less than 2**(max(edge_ids) + 1),
+so the perturbation maximizes the true weight first and, among weight ties,
+minimizes the edge-id bitmask value, so exactly one matching is optimal for
+every instance and every left-vertex subset.  Edge ids survive restriction,
+which keeps the tie-break stable under restriction; s then follows the
+largest surviving id, not the edge count.
 
 The solver grows the matching by successive maximum-gain augmenting paths
 (Bellman-Ford style, exact integers), stopping when no path has positive
-gain; this is exact for any sign pattern.  Cost model: _dense() builds,
-once per instance, each left vertex's (pos, u, v, perturbed weight) tuples,
-and a solve joins the allowed vertices' tuples once, so a pass walks only
-the k allowed edges and a relaxation unpacks one tuple.  A solve is
+gain; this is exact for any sign pattern.  It reads only the edges of
+positive weight, and that is exact too:
+  - an edge of scaled weight w <= 0 has w' <= -2**edge_id < 0, while w >= 1
+    gives w' >= 2**s - 2**edge_id > 0 (s > edge_id), so w' > 0 and w' >= 0
+    pick the same edges;
+  - removing an edge of negative w' from a matching leaves a matching of
+    larger perturbed weight;
+  - so the unique optimum over the allowed edges holds no edge of weight
+    <= 0, and it is therefore also the unique optimum over the allowed
+    positive edges;
+  - the solver returns edge ids in left-index order, so its list is the
+    same as over all the allowed edges.
+Every other reader (perturbed, the oracle, against_oracle's edge count for
+the oracle limit, the greedy route) keeps every edge.
+
+Cost model: _dense() builds, once per instance, each left vertex's
+(pos, u, v, perturbed weight) tuples for its positive edges, and a solve
+joins the allowed vertices' tuples once, so a pass walks only the k allowed
+positive edges and a relaxation unpacks one tuple.  A solve is
 (augmentations + 1) searches of at most n_left + n_right + 2 passes of k
 relaxations.  The passes stay full passes in one fixed order, repeated until
 one changes nothing: that needs no work list, the labels are exact
@@ -27,7 +44,7 @@ longest-path values once they stop, and an alternating path's length bounds
 their number (the max_rounds cap).  The perturbed optimum is unique, so the
 relaxation order does not change the answer.  A queue-driven search or one
 insertion step per added left vertex would relax fewer edges; each is a
-larger change, measured on its own (ROADMAP items 1 and 3).
+larger change, measured on its own (ROADMAP item 4).
 
 Instances whose weights are positive, distinct, and superincreasing (each
 exceeding the sum of all smaller ones, e.g. distinct powers of two) take a
@@ -98,7 +115,7 @@ class _Dense:
         self.edge_left = edge_left
         self.edge_right = edge_right
         self.perturbed = perturbed  # by edge position
-        # per dense left index, its edges' (pos, u, v, perturbed) in position order
+        # per dense left index, its positive edges' (pos, u, v, perturbed) in position order
         self.edges_by_left = edges_by_left
         self.desc_positions = desc_positions  # positions sorted by descending true weight
         self.superincreasing = superincreasing
@@ -146,7 +163,8 @@ class WeightedInstance:
             eL, eR = g._edge_left, g._edge_right
             by_left: list[list[tuple[int, int, int, int]]] = [[] for _ in g.left]
             for pos, p in enumerate(perturbed):
-                by_left[eL[pos]].append((pos, eL[pos], eR[pos], p))
+                if p > 0:  # no optimum uses an edge of weight <= 0 (module docstring)
+                    by_left[eL[pos]].append((pos, eL[pos], eR[pos], p))
             desc = sorted(
                 range(len(g.edges)), key=lambda pos: scaled[pos], reverse=True
             )

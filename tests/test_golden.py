@@ -2,11 +2,11 @@
 
 Each case is one command on one demos/data file (plus two small fuzz
 campaigns).  tests/golden/<case>.stdout holds its stdout and
-tests/golden/exit_codes.json its exit code.  SIZED cases run oracle-check on
-inputs of the benchmark's sizes (tests/golden/inputs/), and MISMATCH cases
-run with faulty solvers (the weighted one drops an edge from each answer,
-the stable one frees right vertex 0), so that the mismatch reports are
-pinned too; both carry their exit codes here.  After a
+tests/golden/exit_codes.json its exit code.  SIZED cases run induce and
+oracle-check on inputs of the benchmark's sizes (tests/golden/inputs/), and
+MISMATCH cases run with faulty solvers (the weighted one drops an edge from
+each answer, the stable one frees right vertex 0), so that the mismatch
+reports are pinned too; both carry their exit codes here.  After a
 deliberate change to the output, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -51,6 +51,8 @@ def _cases() -> dict[str, list[str]]:
 CASES = _cases()
 
 SIZED = {
+    "induce-weighted_12x12": (["induce", "tests/golden/inputs/weighted_12x12.json",
+                               "--kind", "weighted"], 0),
     "oracle-check-weighted_8x8": (["oracle-check", "tests/golden/inputs/weighted_8x8.json",
                                    "--kind", "weighted"], 0),
     "oracle-check-weighted_8x8-limit12": (["oracle-check", "tests/golden/inputs/weighted_8x8.json",

@@ -215,3 +215,11 @@ def test_enumerate_matchings_equals_combinations_in_order():
         # depth first by the edge added is lexicographic order on positions
         expected = [tuple(sorted(ids[p] for p in c)) for c in sorted(combos)]
         assert [m.edge_ids for m in enumerate_matchings(g)] == expected
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, True, "2"])
+def test_edge_ids_must_be_non_negative_ints(bad):
+    edges = [("u", "v"), ("u", "w")]
+    with pytest.raises(ValueError, match=rf"^edge id {bad!r} is not a non-negative int$"):
+        BipartiteGraph(["u"], ["v", "w"], edges, edge_ids=[bad, 3])
+    assert BipartiteGraph(["u"], ["v", "w"], edges, edge_ids=[0, 3]).edge_ids == (0, 3)

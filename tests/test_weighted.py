@@ -6,11 +6,13 @@ import pytest
 
 from matchroid.fuzz import random_weighted_instance
 from matchroid.graphs import BipartiteGraph, Matching, OracleLimitError
+from matchroid.induced import enumerate_codomain_mm
 from matchroid.weighted import (
     WeightedInstance,
     WeightFunction,
     _Dense,
     _solve_augmenting,
+    against_oracle,
     choice_function_mm,
     induced_map_mm,
     matching_weight,
@@ -365,3 +367,36 @@ def test_solver_reads_only_the_allowed_vertices_edges():
             )
             assert _solve_augmenting(poisoned, allowed, n_right, g.edge_ids) == \
                 _solve_augmenting(dense, allowed, n_right, g.edge_ids)
+
+
+def test_edges_by_left_holds_exactly_the_positive_edges():
+    # Fraction weights of every sign; "1/6" scales to 1, the smallest kept
+    # weight; edge ids that are not positions
+    left, right = ["u1", "u2"], ["v1", "v2", "v3", "v4"]
+    edges = [("u1", "v1"), ("u1", "v2"), ("u1", "v3"), ("u2", "v1"), ("u2", "v2"),
+             ("u2", "v3"), ("u2", "v4")]
+    g = BipartiteGraph(left, right, edges, edge_ids=[7, 2, 9, 0, 5, 4, 11])
+    weights = [Fraction(x) for x in ("-1/3", "0", "0.5", "1/6", "-4", "2", "0")]
+    dense = WeightedInstance(g, weights)._dense()
+    assert len(dense.perturbed) == len(edges)
+    assert [p > 0 for p in dense.perturbed] == [w > 0 for w in weights]
+    assert dense.edges_by_left == [
+        [(2, 0, 2, dense.perturbed[2])],
+        [(3, 1, 0, dense.perturbed[3]), (5, 1, 2, dense.perturbed[5])],
+    ]
+
+
+def test_non_positive_weights_match_nothing():
+    # no edge of weight <= 0 is ever in the optimum, so the solver sees no
+    # edges, every optimum is empty and the induced family is {empty set}
+    rng = random.Random(2024)
+    checked = 0
+    for _ in range(30):
+        inst = random_weighted_instance(rng, max_side=5, low=-3, high=0)
+        g = inst.graph
+        assert inst._dense().edges_by_left == [[] for _ in g.left]
+        for subset, solved, oracle in against_oracle(inst):
+            assert solved.edge_ids == oracle.edge_ids == ()
+            checked += 1
+        assert {frozenset(m) for m in enumerate_codomain_mm(inst).family.members} == {frozenset()}
+    assert checked >= 200
